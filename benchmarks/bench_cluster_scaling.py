@@ -26,7 +26,9 @@ Asserted properties:
 * **throughput** -- on cache-disabled twins (so the decode path is what is
   measured), the inproc 4-shard cluster holds >= 0.7x the single-shard
   routes/sec (a parity floor: scatter-gather must not collapse under the
-  vectorized baseline; measured ~0.95x).  Both sides are measured
+  monolith baseline).  Measured on a 2-core box at 150 requests: 0.61x
+  against the old exact-kernel monolith, 0.30x against the batch-invariant
+  engine (~2x faster at waves of 16) -- the floor fails on both.  Both sides are measured
   ``MEASURE_ROUNDS`` times, interleaved, and gated on their best round, so
   background interference on a shared smoke core cannot sink one side of
   the ratio.  The subprocess backend pays IPC
@@ -37,8 +39,10 @@ Asserted properties:
   cluster runs dense wave decode over shard-sliced vocabularies: one stacked
   kernel stream per step for the whole fleet instead of one thread-pool call
   per shard, and each shard's output head sliced to its own sub-catalog.
-  This restores a real single-core win, gated at >= 1.5x the vectorized
-  monolith at >= 0.99 top-1 agreement with it (measured ~1.7x / 0.995).
+  Gated at >= 1.5x the monolith at >= 0.99 top-1 agreement with it.
+  Measured on a 2-core box at 200 requests: 1.52x / 0.995 against the old
+  exact-kernel monolith, 0.84x / 0.995 against the batch-invariant engine,
+  which the gate no longer clears.
 
 ``--pipelined`` (with ``--backend subprocess``) adds a second benchmark,
 :func:`test_pipelined_transport`: concurrent Zipf waves through two
@@ -202,16 +206,16 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
         # Backend fidelity bar: the wire protocol must not change answers.
         assert backend_agreement_rate >= 0.95, summary
     elif wave_decode:
-        # Wave decode restores the single-core speedup the vectorized monolith
-        # erased: one stacked kernel stream for the fleet, shard-sliced
-        # output heads.  Gate it, at near-perfect fidelity.
+        # Wave decode's single-core speedup over the monolith: one stacked
+        # kernel stream for the fleet, shard-sliced output heads.  Gate it,
+        # at near-perfect fidelity.
         assert wave_agreement_rate >= 0.99, summary
         assert cluster_report.throughput_rps >= 1.5 * single_report.throughput_rps, \
             summary
     else:
         # Parity floor: scatter-gather overhead must not collapse against the
-        # vectorized single-shard baseline.  (Gated on the inproc backend
-        # only; see the module docstring.)
+        # single-shard baseline.  (Gated on the inproc backend only; see the
+        # module docstring.)
         assert cluster_report.throughput_rps >= 0.7 * single_report.throughput_rps, \
             summary
 

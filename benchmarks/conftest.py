@@ -26,18 +26,13 @@ def pytest_addoption(parser):
         "--wave-decode", action="store_true", default=False,
         help="run bench_cluster_scaling's throughput cluster with dense wave "
              "decode and shard-sliced vocabularies (inproc backend only); "
-             "gates the 1.5x speedup over the vectorized monolith")
+             "gates the 1.5x speedup over the monolith")
     parser.addoption(
         "--pipelined", action="store_true", default=False,
         help="run bench_cluster_scaling's pipelined-transport comparison "
              "(subprocess backend only): multiplexed protocol-3 workers vs "
              "serial protocol-2 twins under concurrent waves with the "
              "escalation cascade enabled; gates the 1.3x routes/sec win")
-    parser.addoption(
-        "--decode-backends", action="store", default="loop,vectorized,fast",
-        help="comma-separated decode backends bench_decode_throughput sweeps "
-             "('loop' must be included: it is the reference the others are "
-             "compared against)")
 
 
 @pytest.fixture(scope="session")
@@ -53,16 +48,6 @@ def wave_decode(request) -> bool:
 @pytest.fixture(scope="session")
 def pipelined(request) -> bool:
     return request.config.getoption("--pipelined")
-
-
-@pytest.fixture(scope="session")
-def decode_backends(request) -> list[str]:
-    backends = [name.strip()
-                for name in request.config.getoption("--decode-backends").split(",")
-                if name.strip()]
-    if "loop" not in backends:
-        backends.insert(0, "loop")
-    return backends
 
 
 @pytest.fixture(scope="session")

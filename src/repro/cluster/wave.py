@@ -227,7 +227,7 @@ class ClusterWaveEngine:
                         num_beams=tier.num_beams, num_groups=tier.num_groups,
                         diversity_penalty=tier.diversity_penalty,
                         max_length=tier.max_length, constraint=constraints,
-                        kernel="fast", stats=stats, question_tags=tags)
+                        stats=stats, question_tags=tags)
                 except BaseException:
                     for shard, service in enumerate(tier.services):
                         service.metrics.increment(

@@ -23,11 +23,7 @@ from repro.core.serialization import (
     tokens_to_schema,
 )
 from repro.core.synthesis import SyntheticExample
-from repro.nn.decoding import (
-    diverse_beam_search_batch,
-    diverse_beam_search_loop,
-    greedy_decode,
-)
+from repro.nn.decoding import diverse_beam_search_batch, greedy_decode
 from repro.nn.seq2seq import (
     EncodedSource,
     Seq2SeqConfig,
@@ -48,6 +44,11 @@ class RouterConfig:
 
     The decoding defaults follow §4.1.5: 10 schema sequences per question via
     diverse beam search with 10 beams, 10 beam groups, diversity penalty 2.0.
+    Decoding always runs on the batch-invariant slot-dense engine
+    (:func:`repro.nn.decoding.diverse_beam_search_batch`).  Questions are
+    truncated to ``max_source_length`` tokens, and the same length is the
+    engine's fixed attention length, so a question's routes -- score bits
+    included -- never depend on the micro-batch it is decoded in.
     """
 
     embedding_dim: int = 48
@@ -66,24 +67,7 @@ class RouterConfig:
     serialization: str = "dfs"
     constrained_decoding: bool = True
     diverse_beam: bool = True
-    #: Decode tier.  "vectorized" (default) decodes every question of a batch
-    #: through the stacked beam engine with the bit-exact kernel; "loop" keeps
-    #: the per-beam reference path (bit-identical to "vectorized" -- the pair
-    #: exists for differential testing and as an escape hatch); "fast" runs
-    #: the same batched search over the flat-GEMM kernel
-    #: (:meth:`repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`),
-    #: trading bit-identity for tolerance-checked agreement and the highest
-    #: throughput.  The knob round-trips through router and cluster
-    #: checkpoints, so serving fleets and shard workers ride whichever tier
-    #: the checkpoint was saved with.
-    decode_backend: str = "vectorized"
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.decode_backend not in ("vectorized", "loop", "fast"):
-            raise ValueError(
-                f"decode_backend must be 'vectorized', 'loop', or 'fast', "
-                f"got {self.decode_backend!r}")
 
     def ablated(self, **changes: object) -> "RouterConfig":
         """A copy with some fields overridden (used by the ablation study)."""
@@ -350,16 +334,14 @@ class SchemaRouter:
         """Route several questions, decoding them as one batch.
 
         The source encoding runs once for the whole batch, the tokenizers and
-        decoding constraint are set up once instead of per question, and (with
-        the default ``decode_backend="vectorized"``) every active beam of
-        every question advances through one stacked kernel call per decode
-        step.  ``decode_backend="loop"`` decodes each question through the
-        per-beam reference path instead; both backends -- and per-question
-        :meth:`route` calls -- return bit-identical results.
-        ``decode_backend="fast"`` runs the batched engine over the flat-GEMM
-        kernel: same search semantics, highest throughput, scores allowed to
-        drift in the last ulps (tolerance-checked agreement instead of
-        bit-identity).
+        decoding constraint are set up once instead of per question, and every
+        beam slot of every question advances through one slot-dense kernel
+        call per decode step.  The engine is batch-invariant: a question's
+        routes are bit-identical whether it is routed alone (:meth:`route`)
+        or in any batch.  Sliced-vocabulary shard routers are the exception:
+        their calibration pass (:meth:`rescore_hypotheses`) still runs flat
+        GEMMs padded to the batch's longest memory, so their scores can
+        differ in the last bits between batches.
 
         ``traces`` is an optional per-question list of ``repro.obs`` trace
         contexts (``None`` entries allowed; repeats collapse): each distinct
@@ -397,28 +379,14 @@ class SchemaRouter:
                          self._constraint.mask_cache_misses)
                         if constraint is not None else (0, 0))
         with stage_spans(contexts, "decode",
-                         backend=self.config.decode_backend,
                          questions=len(questions)) as decode_spans:
-            if self.config.decode_backend == "loop":
-                hypotheses_batch = [
-                    diverse_beam_search_loop(
-                        self._model, (), bos_id, eos_id,
-                        num_beams=self.config.num_beams, num_groups=num_groups,
-                        diversity_penalty=diversity_penalty,
-                        max_length=self.config.max_decode_length, constraint=constraint,
-                        encoded=encoded, stats=stats,
-                    )
-                    for encoded in encoded_batch
-                ]
-            else:
-                hypotheses_batch = diverse_beam_search_batch(
-                    self._model, encoded_batch, bos_id, eos_id,
-                    num_beams=self.config.num_beams, num_groups=num_groups,
-                    diversity_penalty=diversity_penalty,
-                    max_length=self.config.max_decode_length, constraint=constraint,
-                    kernel="fast" if self.config.decode_backend == "fast" else "exact",
-                    stats=stats,
-                )
+            hypotheses_batch = diverse_beam_search_batch(
+                self._model, encoded_batch, bos_id, eos_id,
+                num_beams=self.config.num_beams, num_groups=num_groups,
+                diversity_penalty=diversity_penalty,
+                max_length=self.config.max_decode_length, constraint=constraint,
+                stats=stats, memory_length=max(self.config.max_source_length, 1),
+            )
             if decode_spans and stats is not None:
                 counters = dict(stats)
                 if constraint is not None:

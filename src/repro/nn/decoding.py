@@ -6,7 +6,7 @@ DBCopilot router plugs its graph-based prefix-trie constraint in here
 (paper §3.5); passing ``None`` decodes unconstrained.  Constraints may
 additionally expose an ``allowed_mask(prefix)`` method returning a boolean
 ndarray over the vocabulary (see
-:class:`repro.core.constrained.GraphConstrainedDecoding`); both engines
+:class:`repro.core.constrained.GraphConstrainedDecoding`); both decoders
 prefer it, applying the constraint as one vectorized ``np.where``.
 
 Diverse beam search follows Vijayakumar et al. (2016), the algorithm the paper
@@ -14,40 +14,39 @@ uses to obtain varied candidate schemata: beams are split into groups, groups
 are expanded sequentially at each step, and a token already chosen by an
 earlier group at the same step is penalised for later groups.
 
-Three implementations share those semantics:
+One production engine implements those semantics:
 
-* :func:`diverse_beam_search_batch` -- the bit-exact hot path.  It advances
-  all active beams of all questions in a micro-batch through one
-  :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch` call per
-  step, with bookkeeping (tokens, lengths, scores, states, finished flags)
-  held in flat numpy arrays.
-* :func:`diverse_beam_search_loop` -- the original per-beam Python loop, kept
-  as the reference for differential testing
-  (``RouterConfig.decode_backend="loop"``).
-* :func:`_diverse_beam_search_batch_dense` -- the throughput tier
-  (``kernel="fast"`` / ``RouterConfig.decode_backend="fast"``): the same
-  search over the slot-dense flat-GEMM kernel, trading bit-identity for
-  tolerance-checked agreement.
+* :func:`diverse_beam_search_batch` -- the slot-dense decode engine.  It
+  advances every beam slot of every question in a micro-batch through one
+  :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast` call
+  per step, with bookkeeping (tokens, lengths, scores, states, finished
+  flags, constraint masks) resident in preallocated numpy grids.  It is
+  *batch-invariant* by construction: the kernel runs one fixed-shape GEMM
+  per question and projection, and the router pads every attention memory
+  to one fixed length, so a question decodes to the same tokens and the
+  same score bits alone or in any micro-batch.
 
-The first two return *bit-identical* hypotheses: token-for-token the same
-sequences with double-for-double the same scores.  The kernel's bit-exactness
-contract covers the numerics; on the search side all engines break score ties
-identically -- stable, lowest-token-id-first (``np.argsort(-scores,
-kind="stable")``), never the platform-dependent order an unstable descending
-sort would give -- so candidate selection, and therefore every downstream
-ranking and cross-process merge, is deterministic.
+:func:`diverse_beam_search_loop` is the per-beam Python loop over the
+single-row :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy`, kept
+only as the oracle the tests compare the engine against.  The two agree on
+hypotheses and on scores to tolerance (a 1-row and an S-row GEMM round
+differently in the last ulps), not to the bit.  On the search side both
+break score ties identically -- stable, lowest-token-id-first
+(``np.argsort(-scores, kind="stable")``), never the platform-dependent order
+an unstable descending sort would give -- so candidate selection, and
+therefore every downstream ranking and cross-process merge, is
+deterministic.
 
 Constraints exposing the incremental-state protocol (``initial_state`` /
-``advance`` / ``allowed_mask_for_state``) are threaded through the batched
-engines: each surviving beam carries an O(1)-updatable interpreter state
-(gathered from its parent on selection), so per-step constraint resolution
-never re-walks a beam's prefix.  The loop reference keeps the prefix-walk
-path, which is exactly what makes it the oracle.
+``advance`` / ``allowed_mask_for_state``) are threaded through the engine:
+each surviving beam carries an O(1)-updatable interpreter state (gathered
+from its parent on selection), so per-step constraint resolution never
+re-walks a beam's prefix.  The loop oracle keeps the prefix-walk path, which
+is exactly what makes it the oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import AbstractSet, Callable, Sequence
@@ -197,8 +196,10 @@ def greedy_decode(model: Seq2SeqModel, source_ids: Sequence[int], bos_id: int, e
     previous = bos_id
     tokens: list[int] = []
     score = 0.0
+    input_table = model.fast_input_table()
     for _ in range(max_length):
-        log_probabilities, state = model.decode_step_numpy(encoded, state, previous)
+        log_probabilities, state = model.decode_step_numpy(
+            encoded, state, previous, input_table=input_table)
         log_probabilities = _masked_log_probabilities(log_probabilities, tokens, constraint, eos_id)
         previous = int(np.argmax(log_probabilities))
         score += float(log_probabilities[previous])
@@ -239,9 +240,9 @@ def diverse_beam_search(model: Seq2SeqModel, source_ids: Sequence[int], bos_id: 
     ``num_beams`` must be divisible by ``num_groups``; the paper uses 10 beams
     in 10 groups with a diversity penalty of 2.0 (§4.1.5).  ``encoded`` lets
     callers reuse a precomputed encoder output instead of re-encoding
-    ``source_ids``.  Runs the single question through the batched engine
-    (:func:`diverse_beam_search_batch`); the per-beam reference implementation
-    is :func:`diverse_beam_search_loop`.
+    ``source_ids``.  Runs the single question through the decode engine
+    (:func:`diverse_beam_search_batch`); the per-beam test oracle is
+    :func:`diverse_beam_search_loop`.
     """
     _validate_beam_budget(num_beams, num_groups)
     if encoded is None:
@@ -273,13 +274,16 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
                              length_penalty: float = 0.0,
                              encoded: EncodedSource | None = None,
                              stats: dict | None = None) -> list[BeamHypothesis]:
-    """Per-beam diverse beam search: the reference (``loop``) decode backend.
+    """Per-beam diverse beam search: the test oracle for the decode engine.
 
-    Semantically and bit-for-bit identical to running the question through
-    :func:`diverse_beam_search_batch`, but advances one beam per kernel call
-    in plain Python -- the shape the differential tests compare the batched
-    engine against.  ``stats``, when given, accumulates ``steps`` (decode
-    steps with at least one active beam) and ``beam_rows`` (kernel calls).
+    The same search as :func:`diverse_beam_search_batch`, written as the
+    plain per-beam Python loop: one single-row
+    :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy` call per beam
+    and step, constraints resolved by prefix walks.  It returns the engine's
+    hypotheses with scores equal to tolerance (the engine's ``S``-row GEMMs
+    round differently from these 1-row ones).  ``stats``, when given,
+    accumulates ``steps`` (decode steps with at least one active beam) and
+    ``beam_rows`` (kernel calls).
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
 
@@ -288,6 +292,7 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
     groups: list[list[_Beam]] = [
         [_Beam(state=encoded.state.copy())] for _ in range(num_groups)
     ]
+    input_table = model.fast_input_table()
 
     steps = 0
     beam_rows = 0
@@ -304,7 +309,7 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
                 beam_rows += 1
                 previous = beam.tokens[-1] if beam.tokens else bos_id
                 log_probabilities, new_state = model.decode_step_numpy(
-                    encoded, beam.state, previous)
+                    encoded, beam.state, previous, input_table=input_table)
                 log_probabilities = _masked_log_probabilities(
                     log_probabilities, beam.tokens, constraint, eos_id)
                 # Hamming diversity: penalise tokens already emitted by earlier
@@ -317,7 +322,7 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
                 else:
                     scored = log_probabilities
                 # Stable descending sort: ties resolve lowest-token-id-first,
-                # identically to the batched engine.
+                # identically to the engine.
                 top = np.argsort(-scored, kind="stable")[: max(beams_per_group * 2, 2)]
                 for token in top:
                     token = int(token)
@@ -358,23 +363,48 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
                               diversity_penalty: float = 2.0, max_length: int = 48,
                               constraint: "Constraint | Sequence[Constraint | None] | None" = None,
                               length_penalty: float = 0.0,
-                              kernel: str = "exact",
                               stats: dict | None = None,
-                              question_tags: Sequence[int] | None = None
+                              question_tags: Sequence[int] | None = None,
+                              memory_length: int | None = None
                               ) -> list[list[BeamHypothesis]]:
-    """Diverse beam search over a whole micro-batch of questions at once.
+    """Diverse beam search over a whole micro-batch: the decode engine.
 
-    Per step, the active beams of *all* groups of *all* questions advance
-    through one stacked
-    :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch` call
-    against their zero-padded encoder memories -- every beam's kernel inputs
-    (state, previous token) are fixed before any group selects, so a single
-    call per step is exact.  Constraint masks apply as one ``np.where`` over
-    the stacked rows.  Group-sequential Hamming diversity is preserved
-    exactly: groups still *select* in order within a step, each later group
-    scoring against its question's tally of tokens the earlier groups chose.
-    Beam bookkeeping (tokens, lengths, scores, states, finished flags) lives
-    in flat numpy arrays.
+    Search semantics match :func:`diverse_beam_search_loop` exactly (group-
+    sequential Hamming diversity, unpenalised candidate ranking, stable
+    lowest-token-id-first tie-breaking, finished-beam pass-through); the
+    layout is organised for throughput:
+
+    * every ``(question, group, slot)`` of the beam grid advances through
+      :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`
+      each step -- one fixed-shape ``(S, k) @ (k, n)`` GEMM per question and
+      projection, batched per-question attention -- with states, previous
+      tokens, and constraint masks kept *resident* in preallocated arrays,
+      so steps perform no row gathers and no stacking; finished or unused
+      slots ride along (their outputs are simply never read) rather than
+      being compacted away;
+    * groups still *select* sequentially within a step (Hamming diversity
+      demands it; tallies live in one ``(Q, V)`` count array), but their
+      selections are only recorded -- parent index, appended token, new
+      score per slot -- and the grid is committed once per step with one set
+      of whole-``(G, Q, B)`` gather/scatter ops instead of per-group writes;
+    * once every group of a question has finished, the question is banked
+      out of the grid, so a batch's stragglers stop paying for done rows.
+
+    Batch invariance: with ``memory_length`` set, every encoder memory is
+    zero-padded to that fixed attention length (a longer memory raises
+    :class:`ValueError` rather than silently padding further), so each
+    question's kernel inputs have the same shapes whatever it is batched
+    with, and the kernel never shares a GEMM between questions.  A
+    question's hypotheses -- tokens and every bit of their scores -- are
+    then a function of the model and the question alone: identical alone,
+    in any micro-batch, at any position, before or after compaction.
+    ``memory_length=None`` pads to the batch's longest memory instead (the
+    cluster wave path, whose kernel is not batch-invariant anyway).
+
+    Against the loop oracle the engine agrees to tolerance, not to the bit:
+    the oracle advances one ``(1, k)`` row per kernel call against the
+    unpadded memory, and BLAS may round a 1-row GEMM, or a shorter
+    attention sum, differently in the last ulps.
 
     Constraints exposing the incremental-state protocol (``initial_state`` /
     ``advance`` / ``allowed_mask_for_state``, see
@@ -382,352 +412,20 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
     through the search: each surviving beam carries an O(1)-updatable
     interpreter state (gathered from its parent on selection), so per-step
     constraint resolution never re-walks a beam's prefix.  Other constraints
-    fall back to the prefix-walk path with a per-call prefix->mask memo.
-
-    ``kernel`` selects the decode tier: ``"exact"`` (the default) keeps the
-    bit-exactness contract of
-    :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch` with
-    per-step row gathers; ``"fast"`` dispatches to the slot-dense engine
-    (:func:`_diverse_beam_search_batch_dense` over
-    :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`) --
-    true flat GEMMs, batched attention, resident buffers, last-ulp drift
-    allowed.  Search semantics (diversity, tie-breaking, selection order) are
-    identical under either kernel.
-
-    With the exact kernel, returns one hypothesis list per question,
-    bit-identical to :func:`diverse_beam_search_loop` on the same inputs.
-    ``stats``, when given, accumulates ``steps`` (stacked kernel calls) and
-    ``beam_rows`` (active rows advanced across all steps); the fast tier
-    additionally counts ``questions_compacted``.
-
-    The fast tier additionally accepts the cluster wave form: ``constraint``
-    may be a *sequence* of per-question constraints (each ``None`` or
-    incremental-protocol), and ``question_tags`` labels each question with
-    an integer shard tag that is forwarded to the kernel (see
-    :class:`~repro.nn.seq2seq.WaveDecodeKernel`) and broken out in
-    ``stats["per_tag"]``.  Neither is supported by the exact kernel.
-    """
-    beams_per_group = _validate_beam_budget(num_beams, num_groups)
-    if kernel == "fast":
-        return _diverse_beam_search_batch_dense(
-            model, encoded_batch, bos_id, eos_id,
-            num_beams=num_beams, num_groups=num_groups,
-            diversity_penalty=diversity_penalty, max_length=max_length,
-            constraint=constraint, length_penalty=length_penalty, stats=stats,
-            question_tags=question_tags)
-    if kernel != "exact":
-        raise ValueError(f"kernel must be 'exact' or 'fast', got {kernel!r}")
-    if question_tags is not None:
-        raise ValueError("question_tags requires kernel='fast'")
-    if isinstance(constraint, (list, tuple)):
-        raise ValueError("per-question constraints require kernel='fast'")
-    num_questions = len(encoded_batch)
-    if num_questions == 0:
-        return []
-    hidden = encoded_batch[0].state.shape[0]
-    vocab_size = model.config.target_vocab_size
-    padded_length = max(encoded.memory.shape[0] for encoded in encoded_batch)
-    memory = np.zeros((num_questions, padded_length, hidden))
-    memory_mask = np.zeros((num_questions, padded_length), dtype=bool)
-    for question, encoded in enumerate(encoded_batch):
-        true_length = encoded.memory.shape[0]
-        memory[question, :true_length] = encoded.memory
-        memory_mask[question, :true_length] = np.asarray(encoded.mask) != 0.0
-    # The kernel's attention pooling wants memory with a ones column appended
-    # (the attention normalizer rides the same einsum); build it once here so
-    # each step only gathers rows instead of re-concatenating.
-    augmented_memory = np.concatenate(
-        [memory, np.ones((num_questions, padded_length, 1))], axis=2)
-
-    # Flat per-(question, group, slot) bookkeeping.  ``alive`` counts the
-    # slots in use per group (1 at the start, up to ``beams_per_group`` after
-    # the first selection).
-    shape = (num_questions, num_groups, beams_per_group)
-    tokens = np.zeros(shape + (max_length,), dtype=np.int64)
-    lengths = np.zeros(shape, dtype=np.int64)
-    scores = np.zeros(shape, dtype=np.float64)
-    states = np.zeros(shape + (hidden,), dtype=np.float64)
-    finished = np.zeros(shape, dtype=bool)
-    alive = np.ones((num_questions, num_groups), dtype=np.int64)
-    for question, encoded in enumerate(encoded_batch):
-        states[question, :, 0] = encoded.state
-
-    # Incremental constraint interpretation: beams carry interpreter states
-    # (shared, immutable) in parallel Python lists mirroring the numpy
-    # bookkeeping.  All slots start at the (single, shared) empty-prefix
-    # state; slots beyond ``alive`` are never read.
-    incremental = _incremental_constraint(constraint)
-    if incremental:
-        initial_state, advance_state, mask_for_state = incremental
-        start_state = initial_state()
-        constraint_states: list[list[list]] = [
-            [[start_state] * beams_per_group for _ in range(num_groups)]
-            for _ in range(num_questions)
-        ]
-
-    # Clamped to the vocabulary: argsort slices truncate at V anyway (the
-    # loop backend's behavior), and the candidate loops must not read
-    # positions that do not exist when V < 2 * beams_per_group.
-    top_n = min(max(beams_per_group * 2, 2), vocab_size)
-    # Scratch buffers reused by every (question, group) selection write-back.
-    # Slots beyond a beam's recorded length may hold stale tokens; no reader
-    # ever looks past ``lengths``.
-    scratch_tokens = np.zeros((beams_per_group, max_length), dtype=np.int64)
-    scratch_lengths = np.zeros(beams_per_group, dtype=np.int64)
-    scratch_scores = np.zeros(beams_per_group, dtype=np.float64)
-    scratch_states = np.zeros((beams_per_group, hidden), dtype=np.float64)
-    scratch_finished = np.zeros(beams_per_group, dtype=bool)
-    scratch_cstates: list = [None] * beams_per_group
-
-    steps = 0
-    beam_rows = 0
-    for _ in range(max_length):
-        # Python-list snapshots of the step-start bookkeeping: selection only
-        # ever reads pre-step values (the scratch write-back below is the sole
-        # writer), and plain lists are an order of magnitude faster than numpy
-        # scalar indexing in the per-beam loops.
-        alive_list = alive.tolist()
-        finished_list = finished.tolist()
-        scores_list = scores.tolist()
-        lengths_list = lengths.tolist()
-
-        # Stack the active beams of every (question, group), ordered so each
-        # group occupies one contiguous block of rows.  All kernel inputs are
-        # fixed at step start -- selection within a group only decides which
-        # beams survive into the *next* step -- so one stacked call serves
-        # every group of the step.
-        row_question: list[int] = []
-        row_beam: list[int] = []
-        row_group: list[int] = []
-        group_bounds: list[tuple[int, int]] = []
-        row_lookup: dict[tuple[int, int, int], int] = {}
-        for group in range(num_groups):
-            start = len(row_question)
-            for question in range(num_questions):
-                question_finished = finished_list[question][group]
-                for beam in range(alive_list[question][group]):
-                    if not question_finished[beam]:
-                        row_lookup[group, question, beam] = len(row_question)
-                        row_question.append(question)
-                        row_beam.append(beam)
-                        row_group.append(group)
-            group_bounds.append((start, len(row_question)))
-        if not row_question:
-            break
-        steps += 1
-        beam_rows += len(row_question)
-        question_index = np.asarray(row_question, dtype=np.int64)
-        beam_index = np.asarray(row_beam, dtype=np.int64)
-        group_index = np.asarray(row_group, dtype=np.int64)
-        row_lengths = lengths[question_index, group_index, beam_index]
-        previous = np.where(
-            row_lengths > 0,
-            tokens[question_index, group_index, beam_index,
-                   np.maximum(row_lengths - 1, 0)],
-            bos_id)
-        log_probabilities, step_states = model.decode_step_numpy_batch(
-            memory[question_index], memory_mask[question_index],
-            states[question_index, group_index, beam_index], previous,
-            augmented_memory=augmented_memory[question_index])
-
-        if incremental:
-            # Each row's interpreter state already knows (or memoizes on
-            # first touch) its allowed mask: no prefix materialization, no
-            # trie walks, one attribute/dict hit per row.
-            row_masks = np.empty_like(log_probabilities, dtype=bool)
-            for row, (question, group, beam) in enumerate(
-                    zip(row_question, row_group, row_beam)):
-                row_masks[row] = mask_for_state(
-                    constraint_states[question][group][beam])
-            log_probabilities = np.where(row_masks, log_probabilities, -np.inf)
-        elif constraint is not None:
-            # Constraints are pure functions of the prefix, so rows sharing a
-            # prefix (e.g. every group at step 0) share one mask lookup.
-            row_masks = np.ones_like(log_probabilities, dtype=bool)
-            constrain_rows = False
-            mask_memo: dict[tuple[int, ...], np.ndarray | None] = {}
-            for row, (question, group, beam) in enumerate(
-                    zip(row_question, row_group, row_beam)):
-                prefix = tokens[question, group, beam,
-                                :lengths_list[question][group][beam]].tolist()
-                key = tuple(prefix)
-                if key in mask_memo:
-                    mask = mask_memo[key]
-                else:
-                    mask = _constraint_mask(constraint, prefix, vocab_size, eos_id)
-                    mask_memo[key] = mask
-                if mask is not None:
-                    row_masks[row] = mask
-                    constrain_rows = True
-            if constrain_rows:
-                log_probabilities = np.where(row_masks, log_probabilities, -np.inf)
-
-        chosen: list[dict[int, int]] = [{} for _ in range(num_questions)]
-        for group in range(num_groups):
-            start, stop = group_bounds[group]
-            if start == stop:
-                continue
-            block_logp = log_probabilities[start:stop]
-            scored = block_logp
-            if diversity_penalty > 0.0:
-                penalised = None
-                penalty_of: dict[int, np.ndarray] = {}
-                for block_row in range(stop - start):
-                    question = row_question[start + block_row]
-                    if not chosen[question]:
-                        continue
-                    if penalised is None:
-                        penalised = block_logp.copy()
-                    penalty = penalty_of.get(question)
-                    if penalty is None:
-                        penalty = np.zeros(vocab_size)
-                        for token, count in chosen[question].items():
-                            penalty[token] = diversity_penalty * count
-                        penalty_of[question] = penalty
-                    penalised[block_row] = block_logp[block_row] - penalty
-                if penalised is not None:
-                    scored = penalised
-
-            # One stable descending argsort across the group's rows: ties
-            # resolve lowest-token-id-first, identically to the loop path.
-            order = np.argsort(-scored, axis=1, kind="stable")[:, :top_n]
-            order_list = order.tolist()
-            # ``.tolist()`` preserves every bit: the Python floats compare and
-            # add exactly like the float64 array elements they came from.
-            values_list = np.take_along_axis(block_logp, order, axis=1).tolist()
-
-            # Per-question candidate selection (cheap Python: ~2x beam budget
-            # candidates per beam), preserving the loop path's enumeration
-            # order so stable sorting breaks ties identically.  A candidate is
-            # (score, token, parent_beam, kernel_row); token -1 marks a
-            # finished beam passing through unchanged.
-            for question in range(num_questions):
-                candidates: list[tuple[float, int, int, int]] = []
-                has_active = False
-                question_scores = scores_list[question][group]
-                question_finished = finished_list[question][group]
-                for beam in range(alive_list[question][group]):
-                    if question_finished[beam]:
-                        candidates.append((question_scores[beam], -1, beam, -1))
-                        continue
-                    has_active = True
-                    block_row = row_lookup[group, question, beam] - start
-                    parent_score = question_scores[beam]
-                    row_values = values_list[block_row]
-                    row_order = order_list[block_row]
-                    for position in range(top_n):
-                        value = row_values[position]
-                        if not math.isfinite(value):
-                            continue
-                        candidates.append((parent_score + value,
-                                           row_order[position],
-                                           beam,
-                                           start + block_row))
-                if not candidates or not has_active:
-                    continue
-                candidates.sort(key=_candidate_score, reverse=True)
-                selected = candidates[:beams_per_group]
-                group_states = constraint_states[question][group] if incremental \
-                    else None
-                for slot, (score, token, parent, row) in enumerate(selected):
-                    parent_length = lengths_list[question][group][parent]
-                    scratch_tokens[slot, :parent_length] = \
-                        tokens[question, group, parent, :parent_length]
-                    if token < 0:
-                        # A finished beam passing through unchanged.
-                        scratch_lengths[slot] = parent_length
-                        scratch_scores[slot] = question_scores[parent]
-                        scratch_states[slot] = states[question, group, parent]
-                        scratch_finished[slot] = True
-                        if group_states is not None:
-                            scratch_cstates[slot] = group_states[parent]
-                        continue
-                    scratch_tokens[slot, parent_length] = token
-                    scratch_lengths[slot] = parent_length + 1
-                    scratch_scores[slot] = score
-                    scratch_states[slot] = step_states[row]
-                    scratch_finished[slot] = token == eos_id
-                    if group_states is not None:
-                        # Gather the parent's interpreter state and advance it
-                        # by the emitted token; a beam finishing on EOS keeps
-                        # its parent state (its mask is never consulted again).
-                        scratch_cstates[slot] = group_states[parent] \
-                            if token == eos_id \
-                            else advance_state(group_states[parent], token)
-                    if token != eos_id:
-                        chosen[question][token] = chosen[question].get(token, 0) + 1
-                count = len(selected)
-                tokens[question, group, :count] = scratch_tokens[:count]
-                lengths[question, group, :count] = scratch_lengths[:count]
-                scores[question, group, :count] = scratch_scores[:count]
-                states[question, group, :count] = scratch_states[:count]
-                finished[question, group, :count] = scratch_finished[:count]
-                alive[question, group] = count
-                if group_states is not None:
-                    constraint_states[question][group] = scratch_cstates[:count]
-
-    _note_decode_stats(stats, steps=steps, beam_rows=beam_rows)
-    results: list[list[BeamHypothesis]] = []
-    for question in range(num_questions):
-        groups_out: list[list[_Beam]] = []
-        for group in range(num_groups):
-            group_beams: list[_Beam] = []
-            for beam in range(alive[question, group]):
-                length = int(lengths[question, group, beam])
-                group_beams.append(_Beam(
-                    tokens=tokens[question, group, beam, :length].tolist(),
-                    score=float(scores[question, group, beam]),
-                    finished=bool(finished[question, group, beam])))
-            groups_out.append(group_beams)
-        results.append(_finalize_groups(groups_out, eos_id, length_penalty, num_beams))
-    return results
-
-
-def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
-                                     encoded_batch: "list[EncodedSource]",
-                                     bos_id: int, eos_id: int,
-                                     num_beams: int, num_groups: int,
-                                     diversity_penalty: float, max_length: int,
-                                     constraint: "Constraint | Sequence[Constraint | None] | None",
-                                     length_penalty: float,
-                                     stats: dict | None = None,
-                                     question_tags: Sequence[int] | None = None
-                                     ) -> list[list[BeamHypothesis]]:
-    """The ``fast`` decode tier: slot-dense diverse beam search.
-
-    Identical search semantics to :func:`diverse_beam_search_batch` (group-
-    sequential Hamming diversity, unpenalised candidate ranking, stable
-    lowest-token-id-first tie-breaking, finished-beam pass-through), but
-    organised for throughput instead of bit-exactness:
-
-    * every ``(question, group, slot)`` of the beam grid advances through
-      :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`
-      each step -- flat GEMMs over all ``Q*G*B`` slots, batched per-question
-      attention -- with states, previous tokens, and constraint masks kept
-      *resident* in preallocated arrays, so steps perform no row gathers and
-      no stacking; finished or unused slots ride along (their outputs are
-      simply never read) rather than being compacted away;
-    * groups still *select* sequentially within a step (Hamming diversity
-      demands it; tallies live in one ``(Q, V)`` count array), but their
-      selections are only recorded -- parent index, appended token, new
-      score per slot -- and the grid is committed once per step with one set
-      of whole-``(G, Q, B)`` gather/scatter ops instead of per-group writes.
-
-    Numerically the fast kernel may drift from the exact one in the last
-    ulps (flat GEMMs are not row-stable), so this tier's contract is
-    tolerance-checked top-1 agreement, not bit-identity -- see
-    ``RouterConfig.decode_backend`` and ``benchmarks/bench_decode_throughput``.
-    Incremental constraint states are threaded through beams exactly as in
-    the exact engine; non-incremental constraints fall back to prefix masks.
+    fall back to the prefix-walk path with a per-step prefix->mask memo.
 
     Two wave-decode extensions (the inproc cluster batching every shard's
     beams into one grid): ``constraint`` may be a sequence with exactly one
     entry per question -- each ``None`` or incremental-protocol (the prefix-
     walk fallback stays scalar-only) -- and ``question_tags`` labels each
     question with an integer shard tag.  Tags ride through compaction, are
-    handed to the kernel's ``tags`` parameter each step (the wave kernel
-    gathers per-shard input-table rows and runs per-shard output heads), and
-    split the decode counters into ``stats["per_tag"]``.
+    handed to the kernel's ``tags`` parameter each step (see
+    :class:`~repro.nn.seq2seq.WaveDecodeKernel`), and split the decode
+    counters into ``stats["per_tag"]``.
+
+    Returns one hypothesis list per question.  ``stats``, when given,
+    accumulates ``steps`` (kernel calls), ``beam_rows`` (grid slots advanced,
+    dead slots included) and ``questions_compacted``.
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
     num_questions = len(encoded_batch)
@@ -735,18 +433,23 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
         return []
     hidden = encoded_batch[0].state.shape[0]
     vocab_size = model.config.target_vocab_size
-    padded_length = max(encoded.memory.shape[0] for encoded in encoded_batch)
-    memory = np.zeros((num_questions, padded_length, hidden))
-    memory_mask = np.zeros((num_questions, padded_length), dtype=bool)
+    longest = max(encoded.memory.shape[0] for encoded in encoded_batch)
+    if memory_length is None:
+        memory_length = longest
+    elif longest > memory_length:
+        raise ValueError(
+            f"a source memory of length {longest} exceeds the fixed attention "
+            f"length {memory_length}")
+    memory = np.zeros((num_questions, memory_length, hidden))
+    memory_mask = np.zeros((num_questions, memory_length), dtype=bool)
     for question, encoded in enumerate(encoded_batch):
         true_length = encoded.memory.shape[0]
         memory[question, :true_length] = encoded.memory
         memory_mask[question, :true_length] = np.asarray(encoded.mask) != 0.0
 
-    # The resident beam grid.  Unlike the exact engine, *every* slot is
-    # initialised (not just slot 0): dead slots keep flowing finite values
-    # through the dense kernel, and ``alive``/``finished`` decide what is
-    # actually read.
+    # The resident beam grid.  *Every* slot is initialised (not just slot
+    # 0): dead slots keep flowing finite values through the dense kernel,
+    # and ``alive``/``finished`` decide what is actually read.
     shape = (num_questions, num_groups, beams_per_group)
     slots = num_groups * beams_per_group
     tokens = np.zeros(shape + (max_length,), dtype=np.int64)
@@ -763,8 +466,10 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
     flat_lengths = lengths.reshape(num_questions, slots)
     flat_states = states.reshape(num_questions, slots, hidden)
     # Per-step Hamming tallies: counts[q, v] = how many earlier groups chose
-    # token v for question q this step.  dp * count reproduces the exact
-    # engine's penalty doubles bit-for-bit (both compute dp * n once).
+    # token v for question q this step.  dp * count reproduces the loop
+    # oracle's penalty doubles bit-for-bit (both compute dp * n once).  A
+    # question with no tally subtracts exact zeros, so the penalty never
+    # couples questions.
     counts = np.zeros((num_questions, vocab_size), dtype=np.float64)
     beam_arange = np.arange(beams_per_group)
     question_arange = np.arange(num_questions)[:, None]
@@ -856,7 +561,7 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
         tag_compacted = np.zeros(num_tags, dtype=np.int64)
 
     # Clamped to the vocabulary: argsort slices truncate at V anyway (the
-    # loop backend's behavior), and the candidate loops must not read
+    # loop oracle's behavior), and the candidate loops must not read
     # positions that do not exist when V < 2 * beams_per_group.
     top_n = min(max(beams_per_group * 2, 2), vocab_size)
     # Shared "keep this slot untouched" selection rows (read-only): parent =
@@ -926,10 +631,11 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
             keep_parents_block = [keep_parents] * num_questions
             keep_tokens_block = [keep_tokens] * num_questions
             keep_scores_block = [keep_scores] * num_questions
-        # Python-list snapshots of the step-start bookkeeping, exactly like
-        # the exact engine: selection only ever reads pre-step values (the
-        # whole-grid commit below is the sole writer, and it runs after all
-        # groups have selected).
+        # Python-list snapshots of the step-start bookkeeping: selection only
+        # ever reads pre-step values (the whole-grid commit below is the sole
+        # writer, and it runs after all groups have selected), and plain
+        # lists are an order of magnitude faster than numpy scalar indexing
+        # in the per-beam loops.
         alive_list = alive.tolist()
         finished_list = finished.tolist()
         scores_list = scores.tolist()
@@ -1006,8 +712,8 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
             else:
                 scored = block
             # One stable descending argsort over the group's dense block:
-            # ties resolve lowest-token-id-first, identically to the exact
-            # engine (dead rows are sorted too, and ignored below).
+            # ties resolve lowest-token-id-first, identically to the loop
+            # oracle (dead rows are sorted too, and ignored below).
             order = np.argsort(-scored, axis=2, kind="stable")[:, :, :top_n]
             values = block[question_index3, beam_index3, order]
             order_list = order.tolist()

@@ -9,19 +9,15 @@ Architecture (a compact stand-in for the paper's T5-base):
   state are combined and projected to target-vocabulary logits.
 
 Training uses the autograd engine; inference (:meth:`Seq2SeqModel.encode_numpy`
-and :meth:`Seq2SeqModel.decode_step_numpy_batch`) runs on raw numpy so that
-beam search and constrained decoding stay fast and allocation-free.
+and :meth:`Seq2SeqModel.decode_step_numpy_batch_fast`) runs on raw numpy so
+that beam search and constrained decoding stay fast and allocation-free.
 
-The decode hot path is the batched kernel
-:meth:`Seq2SeqModel.decode_step_numpy_batch`, which advances any number of
-beams -- across questions -- in one stacked step;
-:meth:`Seq2SeqModel.decode_step_numpy` is its single-beam wrapper.  The kernel
-keeps a strict bit-exactness contract (see its docstring): a beam produces the
-same doubles whether it is decoded alone or stacked into a batch, which is
-what lets the vectorized and loop decode backends return identical routes.
-:meth:`Seq2SeqModel.decode_step_numpy_batch_fast` is its throughput-first
-sibling (the ``fast`` decode tier): slot-dense flat GEMMs and batched
-attention, same math, no row-stability guarantee.
+The decode hot path is the slot-dense kernel
+:meth:`Seq2SeqModel.decode_step_numpy_batch_fast`, which advances ``S`` beam
+slots of each of ``Q`` questions in one step with one fixed-shape GEMM per
+question and projection, so a question's doubles never depend on the other
+questions in the batch.  :meth:`Seq2SeqModel.decode_step_numpy` is its
+single-row wrapper, used by greedy decoding and the loop test oracle.
 """
 
 from __future__ import annotations
@@ -198,89 +194,22 @@ class Seq2SeqModel(Module):
         return encoded
 
     def decode_step_numpy(self, encoded: EncodedSource, state: np.ndarray,
-                          previous_id: int) -> tuple[np.ndarray, np.ndarray]:
+                          previous_id: int, input_table: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
         """One inference decoder step for one beam (a thin wrapper).
 
-        Delegates to :meth:`decode_step_numpy_batch` with a single row; by the
-        kernel's bit-exactness contract the result is identical to the same
-        beam advanced inside any larger batch.  Returns (log-probabilities
-        ``(V,)``, new state ``(h,)``).
+        Runs :meth:`decode_step_numpy_batch_fast` on a single ``(1, 1)`` slot
+        against the unpadded memory; ``input_table`` is the optional
+        :meth:`fast_input_table` a per-step caller computes once.  Returns
+        (log-probabilities ``(V,)``, new state ``(h,)``).
         """
-        memory = encoded.memory[None, :, :]
-        memory_mask = (np.asarray(encoded.mask) != 0.0)[None, :]
-        log_probabilities, new_states = self.decode_step_numpy_batch(
-            memory, memory_mask,
-            np.asarray(state, dtype=np.float64)[None, :],
-            np.asarray([previous_id], dtype=np.int64),
-        )
-        return log_probabilities[0], new_states[0]
-
-    def decode_step_numpy_batch(self, memory: np.ndarray, memory_mask: np.ndarray,
-                                states: np.ndarray, previous_ids: np.ndarray,
-                                augmented_memory: np.ndarray | None = None
-                                ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance ``R`` decoder beams with one stacked step.
-
-        ``memory`` is ``(R, T, h)`` (zero-padded along ``T``), ``memory_mask``
-        ``(R, T)`` bool (True at real source positions), ``states`` ``(R, h)``,
-        ``previous_ids`` ``(R,)``.  ``augmented_memory`` is an optional
-        precomputed ``(R, T, h+1)`` copy of ``memory`` with a ones column
-        appended (hot callers build it once per decode instead of per step);
-        built here when absent.  Returns (log-probabilities ``(R, V)``, new
-        states ``(R, h)``).
-
-        Bit-exactness contract: row ``r`` of the result depends only on row
-        ``r`` of the inputs, and is invariant both to the number of other rows
-        in the batch and to how far ``T`` is zero-padded.  A beam therefore
-        decodes to identical doubles whether it runs alone (the ``loop``
-        backend, via :meth:`decode_step_numpy`) or stacked with the rest of a
-        micro-batch (the ``vectorized`` backend).  The contract dictates the
-        numerics used here:
-
-        * the fixed-dimension projections run as stacked ``(R, 1, k) @ (k, n)``
-          matmuls -- BLAS sees one ``(1, k)`` slice per row, so per-row results
-          cannot depend on ``R`` (a flat ``(R, k) @ (k, n)`` GEMM does not have
-          that property: OpenBLAS picks different kernels for different row
-          counts);
-        * contractions over the padded ``T`` axis use ``einsum`` forms whose
-          reduction axis is *not* innermost (``rth,rh->rt`` / ``rt,rth->rh``),
-          which accumulate ``t`` sequentially -- appending zero terms is then
-          an exact no-op (plain ``sum(axis=...)`` pairwise reductions and
-          innermost-axis einsums regroup partial sums when ``T`` changes);
-        * the attention normalizer rides along the stable context einsum via a
-          ones column appended to the memory, instead of a separate
-          length-sensitive row sum;
-        * per-row softmax reductions run over the vocabulary axis, whose
-          length never varies with batching.
-        """
-        previous_embedded = self.target_embedding.weight.data[previous_ids]     # (R, d)
-        pre_activation = (
-            np.matmul(previous_embedded[:, None, :], self.input_projection.weight.data)
-            + np.matmul(states[:, None, :], self.recurrent_projection.weight.data)
-        )[:, 0, :] + self.recurrent_projection.bias.data
-        new_states = np.tanh(pre_activation)                                    # (R, h)
-
-        scores = np.einsum("rth,rh->rt", memory, new_states)                    # (R, T)
-        scores = np.where(memory_mask, scores, -np.inf)
-        scores = scores - scores.max(axis=1, keepdims=True)
-        attention = np.exp(scores)                                              # pads -> 0.0
-        rows, length, hidden = memory.shape
-        if augmented_memory is None:
-            augmented_memory = np.concatenate(
-                [memory, np.ones((rows, length, 1))], axis=2)                   # (R, T, h+1)
-        pooled = np.einsum("rt,rth->rh", attention, augmented_memory)           # (R, h+1)
-        context = pooled[:, :hidden] / pooled[:, hidden:]                       # (R, h)
-
-        combined = np.tanh(
-            np.matmul(np.concatenate([new_states, context], axis=1)[:, None, :],
-                      self.combine_projection.weight.data)[:, 0, :]
-            + self.combine_projection.bias.data)
-        logits = np.matmul(combined[:, None, :],
-                           self.output_projection.weight.data)[:, 0, :] \
-            + self.output_projection.bias.data
-        logits = logits - logits.max(axis=1, keepdims=True)
-        log_probabilities = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return log_probabilities, new_states
+        log_probabilities, new_states = self.decode_step_numpy_batch_fast(
+            encoded.memory[None, :, :],
+            (np.asarray(encoded.mask) != 0.0)[None, :],
+            np.asarray(state, dtype=np.float64)[None, None, :],
+            np.asarray([[previous_id]], dtype=np.int64),
+            input_table=input_table)
+        return log_probabilities[0, 0], new_states[0, 0]
 
     def fast_input_table(self) -> np.ndarray:
         """The fused ``(V, h)`` previous-token table for the fast kernel.
@@ -301,47 +230,43 @@ class Seq2SeqModel(Module):
                                      input_table: np.ndarray | None = None,
                                      memory_t: np.ndarray | None = None
                                      ) -> tuple[np.ndarray, np.ndarray]:
-        """The throughput-first, slot-dense sibling of
-        :meth:`decode_step_numpy_batch`.
+        """Advance ``S`` beam slots of each of ``Q`` questions by one step.
 
-        Advances ``S`` beam slots of each of ``Q`` questions at once:
         ``memory`` is ``(Q, T, h)`` (zero-padded along ``T``), ``memory_mask``
-        ``(Q, T)`` bool, ``states`` ``(Q, S, h)``, ``previous_ids`` ``(Q,
-        S)``.  Returns (log-probabilities ``(Q, S, V)``, new states ``(Q, S,
-        h)``).  Same math as the exact kernel, but every fixed-dimension
-        projection runs as one true flat ``(Q*S, k) @ (k, n)`` GEMM (the
-        ``(Q*S, h) @ (h, V)`` output projection is the dominant cost) and
-        attention contracts as batched ``(Q, S, h) @ (Q, h, T)`` / ``(Q, S,
-        T) @ (Q, T, h)`` matmuls with an ordinary row-sum softmax normalizer
-        -- no per-row ``(R, 1, k)`` slice stabilization, no padding-exact
-        einsum forms, and crucially no per-step row gathers: callers keep
-        their slot grid resident and hand the kernel whole-array views.
+        ``(Q, T)`` bool (True at real source positions), ``states`` ``(Q, S,
+        h)``, ``previous_ids`` ``(Q, S)``.  Returns (log-probabilities ``(Q,
+        S, V)``, new states ``(Q, S, h)``).  Callers keep their slot grid
+        resident and hand the kernel whole-array views, so a step performs
+        no row gathers.
 
-        That freedom is exactly what breaks the exact kernel's bit-exactness
-        contract: BLAS picks different micro-kernels (different partial-sum
-        regroupings) for different row counts, so a beam's doubles may drift
-        in the last ulps with batch composition.  The ``fast`` decode backend
-        therefore trades bit-identity for *tolerance-checked* agreement
-        (seeded top-1 agreement gates in
-        ``benchmarks/bench_decode_throughput.py`` and CI); anything that must
-        be reproducible to the bit stays on :meth:`decode_step_numpy_batch`.
+        Batch invariance: every projection runs as a stacked ``(Q, S, k) @
+        (k, n)`` matmul, for which numpy issues one ``(S, k) @ (k, n)`` GEMM
+        per question, and attention contracts per question as ``(S, h) @ (h,
+        T)`` / ``(S, T) @ (T, h)``; the softmax reductions run along rows of
+        fixed length.  A question's rows therefore never share a GEMM or a
+        reduction with another question's, and its outputs depend only on
+        its own inputs and on the shapes ``S`` and ``T`` -- which the decode
+        engine fixes (``T`` by padding every memory to one length).  A flat
+        ``(Q*S, k) @ (k, n)`` GEMM would not have that property: OpenBLAS
+        blocks rows differently for different row counts, so a beam's last
+        ulps would depend on its batch.  Changing ``T`` (how far memory is
+        padded) may still move the last ulps of the attention sums.
+
         ``input_table`` is the :meth:`fast_input_table` fusion of the
         previous-token embedding and input projection, and ``memory_t`` a
         C-contiguous ``(Q, h, T)`` transpose of ``memory``; hot callers
         compute both once per decode, and they are rebuilt here when absent.
         """
-        questions, slots, hidden = states.shape
-        flat_states = states.reshape(questions * slots, hidden)
+        hidden = states.shape[2]
         if input_table is None:
             input_table = self.fast_input_table()
         if memory_t is None:
             memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
         new_states = np.tanh(
-            input_table[previous_ids.reshape(-1)]
-            + flat_states @ self.recurrent_projection.weight.data)              # (Q*S, h)
-        states3 = new_states.reshape(questions, slots, hidden)
+            input_table[previous_ids]
+            + np.matmul(states, self.recurrent_projection.weight.data))        # (Q, S, h)
 
-        scores = np.matmul(states3, memory_t)                                   # (Q, S, T)
+        scores = np.matmul(new_states, memory_t)                                # (Q, S, T)
         if not memory_mask.all():
             scores = np.where(memory_mask[:, None, :], scores, -np.inf)
         # Both attention operands are tanh outputs, so |score| <= hidden and
@@ -355,14 +280,14 @@ class Seq2SeqModel(Module):
         context = np.matmul(attention, memory)                                  # (Q, S, h)
 
         combined = np.tanh(
-            np.concatenate([new_states, context.reshape(-1, hidden)], axis=1)
-            @ self.combine_projection.weight.data
-            + self.combine_projection.bias.data)                                # (Q*S, h)
-        logits = combined @ self.output_projection.weight.data \
-            + self.output_projection.bias.data                                  # (Q*S, V)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        log_probabilities = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return (log_probabilities.reshape(questions, slots, -1), states3)
+            np.matmul(np.concatenate([new_states, context], axis=2),
+                      self.combine_projection.weight.data)
+            + self.combine_projection.bias.data)                                # (Q, S, h)
+        logits = np.matmul(combined, self.output_projection.weight.data) \
+            + self.output_projection.bias.data                                  # (Q, S, V)
+        logits = logits - logits.max(axis=2, keepdims=True)
+        log_probabilities = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
+        return log_probabilities, new_states
 
 
 @dataclass(frozen=True)
@@ -465,7 +390,7 @@ def rescore_token_sequences(model: "Seq2SeqModel",
 
 
 class WaveDecodeKernel:
-    """One fast-tier decode stream over several shard models of one trunk.
+    """One decode stream over several shard models of one trunk.
 
     Duck-types the slice of :class:`Seq2SeqModel` the slot-dense decode
     engine touches (``config``, :meth:`fast_input_table`,
@@ -548,13 +473,14 @@ class WaveDecodeKernel:
                                      memory_t: np.ndarray | None = None,
                                      tags: np.ndarray | None = None
                                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Fast-tier step for a shard-tagged wave; same shapes as the model
+        """One step for a shard-tagged wave; same shapes as the model
         kernel plus ``tags`` ``(Q,)`` (shard index per question row).
 
-        Trunk math is identical to
+        Trunk math is that of
         :meth:`Seq2SeqModel.decode_step_numpy_batch_fast` (the trunk is
-        shared); only the previous-token gather and the output head are
-        shard-aware.  Columns ``>= V_k`` of a shard's rows come back
+        shared), but the projections run as flat ``(Q*S, k)`` GEMMs, so a
+        wave row's last ulps may depend on the rest of the wave; only the
+        previous-token gather and the output head are shard-aware.  Columns ``>= V_k`` of a shard's rows come back
         ``-inf``, so padded vocabulary slots can never win a top-k.
         """
         if tags is None:

@@ -187,6 +187,25 @@ def load_manifest(path: str | Path) -> dict:
     return manifest
 
 
+def _router_config_from_payload(payload: dict) -> RouterConfig:
+    """Rebuild a :class:`RouterConfig` from its manifest payload.
+
+    Checkpoints written while the router had several decode tiers carry a
+    ``decode_backend`` key; it is dropped when it holds a tier those builds
+    could write.  Any other value, or any other unknown key, raises
+    :class:`CheckpointError`.
+    """
+    fields = dict(payload)
+    legacy_backend = fields.pop("decode_backend", "vectorized")
+    if legacy_backend not in ("vectorized", "loop", "fast"):
+        raise CheckpointError(
+            f"router config holds unknown decode_backend {legacy_backend!r}")
+    try:
+        return RouterConfig(**fields)
+    except TypeError as error:
+        raise CheckpointError(f"incompatible router config: {error}") from error
+
+
 def load_router(path: str | Path) -> SchemaRouter:
     """Rebuild a trained :class:`SchemaRouter` from a checkpoint directory."""
     path = Path(path)
@@ -198,7 +217,7 @@ def load_router(path: str | Path) -> SchemaRouter:
     if recorded and _sha256_of(weights_path) != recorded:
         raise CheckpointError(f"weight archive {weights_path!s} fails its checksum")
 
-    config = RouterConfig(**manifest["router_config"])
+    config = _router_config_from_payload(manifest["router_config"])
     catalog = catalog_from_payload(manifest["catalog"])
     graph = SchemaGraph.from_components(
         catalog, [tuple(edge) for edge in manifest["joinable_edges"]])

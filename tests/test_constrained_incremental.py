@@ -5,10 +5,10 @@ junk, separator-riddled, or EOS-bearing -- the state reached by threading
 ``GraphConstrainedDecoding.advance`` token by token must parse identically to
 a fresh ``interpret`` of the whole prefix, and
 ``allowed_mask_for_state(state)`` must equal ``allowed_mask(prefix)``
-bit-for-bit.  The vectorized decode backend's bit-identity with the loop
-reference (``tests/test_decode_backends.py``) rides entirely on this
-equivalence, so it is exercised here directly: random catalogs, random
-walks, terminal/EOS paths, and mask-cache eviction.
+bit-for-bit.  The decode engine's agreement with the loop oracle
+(``tests/test_decode_backends.py``) rides entirely on this equivalence, so
+it is exercised here directly: random catalogs, random walks, terminal/EOS
+paths, and mask-cache eviction.
 """
 
 from __future__ import annotations

@@ -1,14 +1,18 @@
-"""Differential tests: the vectorized decode backend vs. the loop reference.
+"""Differential tests: the slot-dense decode engine vs. the loop oracle.
 
-The contract under test is *bit-identity*: for any catalog, seed, batch size,
-and beam budget, ``decode_backend="vectorized"`` must return exactly the
-hypotheses of ``decode_backend="loop"`` -- token-for-token the same sequences
-with double-for-double the same scores (compared via C99 hex formatting, so
-not a single bit may drift).  Everything downstream -- route caches, shard
-merges, cross-process agreement -- leans on this property.
+The engine (:func:`repro.nn.decoding.diverse_beam_search_batch`) and the
+per-beam loop (:func:`repro.nn.decoding.diverse_beam_search_loop`) run the
+same search over GEMMs of different shapes, so the contract under test is
+*agreement*: the same hypotheses token for token, scores equal to a tight
+tolerance, and seeded top-1 route agreement >= 0.99 at the router level.
+The engine's own contract is stricter and is checked to the bit here and in
+``tests/test_batch_invariance.py``: a question decodes to the same tokens and
+score bits alone or in any batch.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.nn.decoding import (
 from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel
 from repro.nn.tokenizer import WordTokenizer, build_vocabulary
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
+from repro.serving.checkpoint import CheckpointError, load_router, save_router
 
 
 def _hypothesis_key(hypothesis):
@@ -35,6 +40,14 @@ def _hypothesis_key(hypothesis):
 
 def _route_key(routes):
     return [(route.database, route.tables, route.score.hex()) for route in routes]
+
+
+def _assert_agree(engine_hypotheses, oracle_hypotheses):
+    """Same hypotheses, same order, scores equal to tolerance."""
+    assert [h.tokens for h in engine_hypotheses] == [h.tokens for h in oracle_hypotheses]
+    for ours, theirs in zip(engine_hypotheses, oracle_hypotheses):
+        assert ours.score == pytest.approx(theirs.score, rel=1e-9, abs=1e-12)
+        assert ours.finished == theirs.finished
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +81,10 @@ def toy_model():
 BUDGETS = [(1, 1, 0.0), (4, 1, 0.0), (4, 2, 2.0), (6, 3, 1.5), (6, 6, 2.0)]
 
 
-class TestEngineDifferential:
+class TestEngineVsOracle:
     @pytest.mark.parametrize("num_beams,num_groups,penalty", BUDGETS)
-    def test_batch_matches_loop_unconstrained(self, toy_model, num_beams,
-                                              num_groups, penalty):
+    def test_engine_agrees_with_oracle_unconstrained(self, toy_model, num_beams,
+                                                     num_groups, penalty):
         model, vocabulary, encoded = toy_model
         batched = diverse_beam_search_batch(
             model, encoded, vocabulary.bos_id, vocabulary.eos_id,
@@ -82,13 +95,13 @@ class TestEngineDifferential:
                 model, (), vocabulary.bos_id, vocabulary.eos_id,
                 num_beams=num_beams, num_groups=num_groups,
                 diversity_penalty=penalty, max_length=8, encoded=item)
-            assert [_hypothesis_key(h) for h in one] == \
-                [_hypothesis_key(h) for h in looped]
+            _assert_agree(one, looped)
 
     @pytest.mark.parametrize("num_beams,num_groups,penalty", BUDGETS)
-    def test_batch_matches_loop_constrained(self, toy_model, num_beams,
-                                            num_groups, penalty):
-        """A synthetic constraint (even ids after even-length prefixes)."""
+    def test_engine_agrees_with_oracle_constrained(self, toy_model, num_beams,
+                                                   num_groups, penalty):
+        """A synthetic prefix-walk constraint (even ids after even-length
+        prefixes): the engine's fallback path for non-incremental constraints."""
         model, vocabulary, encoded = toy_model
         size = model.config.target_vocab_size
 
@@ -107,10 +120,30 @@ class TestEngineDifferential:
                 num_beams=num_beams, num_groups=num_groups,
                 diversity_penalty=penalty, max_length=8,
                 constraint=constraint, encoded=item)
-            assert [_hypothesis_key(h) for h in one] == \
-                [_hypothesis_key(h) for h in looped]
+            _assert_agree(one, looped)
 
-    def test_wrapper_routes_through_batch_engine(self, toy_model):
+    def test_engine_honors_none_unconstrained_steps(self, toy_model):
+        """A constraint that only restricts early steps (returning None --
+        "unconstrained" -- afterwards) must not leave stale restrictive masks
+        in the engine's resident grid."""
+        model, vocabulary, encoded = toy_model
+
+        def constraint(prefix):
+            if len(prefix) == 0:
+                return {3, 5, vocabulary.eos_id}
+            return None
+
+        batched = diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=4, num_groups=2, max_length=8, constraint=constraint)
+        for item, one in zip(encoded, batched):
+            looped = diverse_beam_search_loop(
+                model, (), vocabulary.bos_id, vocabulary.eos_id,
+                num_beams=4, num_groups=2, max_length=8,
+                constraint=constraint, encoded=item)
+            _assert_agree(one, looped)
+
+    def test_wrapper_routes_through_engine(self, toy_model):
         model, vocabulary, encoded = toy_model
         direct = diverse_beam_search(model, (), vocabulary.bos_id, vocabulary.eos_id,
                                      num_beams=4, num_groups=2, max_length=8,
@@ -132,47 +165,58 @@ class TestEngineDifferential:
             diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
                                       vocabulary.eos_id, num_beams=5, num_groups=3)
 
-    @pytest.mark.parametrize("kernel", ["exact", "fast"])
-    def test_beam_budget_wider_than_vocabulary(self, toy_model, kernel):
+    def test_beam_budget_wider_than_vocabulary(self, toy_model):
         """top_n clamps at V: a beam budget wider than the target vocabulary
-        must decode (matching the loop backend's slice-truncation), not
+        must decode (matching the loop oracle's slice-truncation), not
         overrun the candidate rows."""
         model, vocabulary, encoded = toy_model
         vocab_size = model.config.target_vocab_size
         num_beams = vocab_size + 4  # top_n would exceed V unclamped
         batched = diverse_beam_search_batch(
             model, encoded[:2], vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=num_beams, num_groups=1, max_length=6, kernel=kernel)
+            num_beams=num_beams, num_groups=1, max_length=6)
         looped = [diverse_beam_search_loop(
             model, (), vocabulary.bos_id, vocabulary.eos_id,
             num_beams=num_beams, num_groups=1, max_length=6, encoded=item)
             for item in encoded[:2]]
         for one, reference in zip(batched, looped):
             assert [h.tokens for h in one] == [h.tokens for h in reference]
-            if kernel == "exact":
-                assert [_hypothesis_key(h) for h in one] == \
-                    [_hypothesis_key(h) for h in reference]
 
     def test_batch_composition_invariance(self, toy_model):
-        """A question decodes identically alone, in pairs, and in the full
-        batch -- the property route caches and shard merges rely on."""
+        """At a fixed attention length a question decodes to the same bits
+        alone, in pairs, and in the full batch -- the property route caches
+        and shard merges rely on."""
         model, vocabulary, encoded = toy_model
+        kwargs = dict(num_beams=4, num_groups=2, max_length=8, memory_length=6)
         full = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8)
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id, **kwargs)
         for index, item in enumerate(encoded):
             alone = diverse_beam_search_batch(
-                model, [item], vocabulary.bos_id, vocabulary.eos_id,
-                num_beams=4, num_groups=2, max_length=8)[0]
+                model, [item], vocabulary.bos_id, vocabulary.eos_id, **kwargs)[0]
             assert [_hypothesis_key(h) for h in alone] == \
                 [_hypothesis_key(h) for h in full[index]]
         pair = diverse_beam_search_batch(
             model, [encoded[-1], encoded[0]], vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8)
+            **kwargs)
         assert [_hypothesis_key(h) for h in pair[0]] == \
             [_hypothesis_key(h) for h in full[-1]]
         assert [_hypothesis_key(h) for h in pair[1]] == \
             [_hypothesis_key(h) for h in full[0]]
+
+    def test_memory_longer_than_fixed_length_raises(self, toy_model):
+        """The engine never pads past its fixed attention length: a longer
+        memory is a typed error, not a silently different shape."""
+        model, vocabulary, encoded = toy_model
+        longest = max(item.memory.shape[0] for item in encoded)
+        with pytest.raises(ValueError, match="fixed attention length"):
+            diverse_beam_search_batch(
+                model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+                num_beams=4, num_groups=2, max_length=8,
+                memory_length=longest - 1)
+        # Exactly the fixed length is fine.
+        diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=4, num_groups=2, max_length=8, memory_length=longest)
 
 
 # ---------------------------------------------------------------------------
@@ -195,159 +239,104 @@ def _train_router(seed: int, num_databases: int, **config_changes) -> tuple:
     return router, questions
 
 
-def _loop_twin(router: SchemaRouter) -> SchemaRouter:
-    """The same trained weights behind the loop reference backend."""
-    twin = SchemaRouter(graph=router.graph,
-                        config=router.config.ablated(decode_backend="loop"))
-    twin.restore(router.model, router.source_vocabulary, router.target_vocabulary,
-                 router.training_losses)
-    return twin
-
-
-@pytest.fixture(scope="module", params=[(11, 5), (29, 8)],
-                ids=["catalog-small", "catalog-wide"])
-def trained_pair(request):
-    seed, num_databases = request.param
-    router, questions = _train_router(seed, num_databases)
-    return router, _loop_twin(router), questions
-
-
-class TestRouterDifferential:
-    @pytest.mark.parametrize("batch_size", [1, 2, 5, 9])
-    def test_backends_bit_identical_across_batch_sizes(self, trained_pair, batch_size):
-        router, loop_router, questions = trained_pair
-        rng = np.random.default_rng(batch_size)
-        picked = [questions[int(i)] for i in
-                  rng.integers(0, len(questions), size=batch_size)]
-        vectorized = router.route_batch(picked)
-        looped = loop_router.route_batch(picked)
-        assert [_route_key(r) for r in vectorized] == [_route_key(r) for r in looped]
-
-    @pytest.mark.parametrize("num_beams,beam_groups", [(1, 1), (4, 2), (6, 6), (8, 1)])
-    def test_backends_bit_identical_across_beam_budgets(self, trained_pair,
-                                                        num_beams, beam_groups):
-        router, _, questions = trained_pair
-        vec = SchemaRouter(graph=router.graph, config=router.config.ablated(
-            num_beams=num_beams, beam_groups=beam_groups))
-        vec.restore(router.model, router.source_vocabulary, router.target_vocabulary)
-        looped = _loop_twin(vec)
-        picked = questions[:6]
-        assert [_route_key(r) for r in vec.route_batch(picked)] == \
-            [_route_key(r) for r in looped.route_batch(picked)]
-
-    def test_backends_agree_without_constraint_or_diversity(self):
-        router, questions = _train_router(17, 4, constrained_decoding=False,
-                                          diverse_beam=False)
-        looped = _loop_twin(router)
-        picked = questions[:8]
-        assert [_route_key(r) for r in router.route_batch(picked)] == \
-            [_route_key(r) for r in looped.route_batch(picked)]
-
-    def test_route_matches_route_batch(self, trained_pair):
-        router, _, questions = trained_pair
-        picked = questions[:5]
-        batched = router.route_batch(picked)
-        for question, expected in zip(picked, batched):
-            assert _route_key(router.route(question)) == _route_key(expected)
-
-    def test_routes_independent_of_batch_composition(self, trained_pair):
-        """End to end (encode + decode), a question's routes are bit-identical
-        no matter which micro-batch it rides in -- the property the route
-        cache and cross-shard merging lean on."""
-        router, _, questions = trained_pair
-        target = questions[0]
-        alone = router.route_batch([target])[0]
-        shuffled = router.route_batch(questions[3:8] + [target, questions[1]])[5]
-        assert _route_key(alone) == _route_key(shuffled)
-
-    def test_empty_and_whitespace_questions_route(self, trained_pair):
-        """Empty input takes the defined pad path on both backends."""
-        router, loop_router, questions = trained_pair
-        batch = ["", "   ", questions[0], "\t\n"]
-        vectorized = router.route_batch(batch)
-        looped = loop_router.route_batch(batch)
-        assert [_route_key(r) for r in vectorized] == [_route_key(r) for r in looped]
-        # Blank questions all reduce to the same pad-token encoding.
-        assert _route_key(vectorized[0]) == _route_key(vectorized[1])
-        assert _route_key(vectorized[0]) == _route_key(vectorized[3])
-
-    def test_checkpoint_round_trips_decode_backend(self, trained_pair, tmp_path):
-        from repro.serving.checkpoint import load_router, save_router
-
-        router, loop_router, questions = trained_pair
-        save_router(loop_router, tmp_path / "loop-ckpt")
-        restored = load_router(tmp_path / "loop-ckpt")
-        assert restored.config.decode_backend == "loop"
-        picked = questions[:4]
-        assert [_route_key(r) for r in restored.route_batch(picked)] == \
-            [_route_key(r) for r in router.route_batch(picked)]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            RouterConfig(decode_backend="turbo")
-
-
-# ---------------------------------------------------------------------------
-# The fast tier: flat-GEMM slot-dense decoding, tolerance-checked agreement.
-# ---------------------------------------------------------------------------
-def _fast_twin(router: SchemaRouter) -> SchemaRouter:
-    twin = SchemaRouter(graph=router.graph,
-                        config=router.config.ablated(decode_backend="fast"))
-    twin.restore(router.model, router.source_vocabulary, router.target_vocabulary,
-                 router.training_losses)
-    return twin
+def oracle_route_batch(router: SchemaRouter, questions: list[str]) -> list:
+    """``router.route_batch`` with every question decoded by the loop oracle."""
+    source_tokenizer = WordTokenizer(router.source_vocabulary)
+    encoded_batch = router.model.encode_numpy_batch(
+        [source_tokenizer.encode_text(question,
+                                      max_length=router.config.max_source_length)
+         for question in questions],
+        pad_id=router.source_vocabulary.pad_id)
+    config = router.config
+    num_groups, penalty = ((config.beam_groups, config.diversity_penalty)
+                           if config.diverse_beam else (1, 0.0))
+    results = []
+    for encoded in encoded_batch:
+        hypotheses = diverse_beam_search_loop(
+            router.model, (), router.target_vocabulary.bos_id,
+            router.target_vocabulary.eos_id, num_beams=config.num_beams,
+            num_groups=num_groups, diversity_penalty=penalty,
+            max_length=config.max_decode_length, constraint=router.constraint,
+            encoded=encoded)
+        results.append(router.combine_hypotheses(
+            hypotheses or router.decode_fallback(encoded)))
+    return results
 
 
 def _top1_key(routes):
     return (routes[0].database, routes[0].tables) if routes else None
 
 
-class TestFastTier:
-    def test_fast_backend_accepted(self):
-        assert RouterConfig(decode_backend="fast").decode_backend == "fast"
+def _top1_agreement(ours, theirs) -> float:
+    return sum(_top1_key(a) == _top1_key(b) for a, b in zip(ours, theirs)) / len(ours)
 
-    def test_invalid_kernel_rejected(self, toy_model):
-        model, vocabulary, encoded = toy_model
-        with pytest.raises(ValueError):
-            diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
-                                      vocabulary.eos_id, num_beams=4,
-                                      num_groups=2, kernel="warp")
 
-    def test_engine_fast_kernel_agrees_at_tolerance(self, toy_model):
-        """Same search over the fast kernel: same tokens, near-equal scores
-        (flat GEMMs may drift in the last ulps, never more)."""
-        model, vocabulary, encoded = toy_model
-        exact = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8)
-        fast = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, kernel="fast")
-        for exact_hyps, fast_hyps in zip(exact, fast):
-            assert [h.tokens for h in exact_hyps] == [h.tokens for h in fast_hyps]
-            for a, b in zip(exact_hyps, fast_hyps):
-                assert a.score == pytest.approx(b.score, rel=1e-9, abs=1e-12)
+def _rebudgeted(router: SchemaRouter, **changes) -> SchemaRouter:
+    twin = SchemaRouter(graph=router.graph, config=router.config.ablated(**changes))
+    twin.restore(router.model, router.source_vocabulary, router.target_vocabulary)
+    return twin
 
-    def test_fast_honors_none_unconstrained_steps(self, toy_model):
-        """A constraint that only restricts early steps (returning None --
-        "unconstrained" -- afterwards) must not leave stale restrictive masks
-        in the fast tier's resident grid."""
-        model, vocabulary, encoded = toy_model
 
-        def constraint(prefix):
-            if len(prefix) == 0:
-                return {3, 5, vocabulary.eos_id}
-            return None
+@pytest.fixture(scope="module", params=[(11, 5), (29, 8)],
+                ids=["catalog-small", "catalog-wide"])
+def trained_router(request):
+    seed, num_databases = request.param
+    return _train_router(seed, num_databases)
 
-        exact = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, constraint=constraint)
-        fast = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, constraint=constraint,
-            kernel="fast")
-        for exact_hyps, fast_hyps in zip(exact, fast):
-            assert [h.tokens for h in exact_hyps] == [h.tokens for h in fast_hyps]
+
+class TestRouterVsOracle:
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 13])
+    def test_routes_agree_with_oracle(self, trained_router, batch_size):
+        router, questions = trained_router
+        rng = np.random.default_rng(100 + batch_size)
+        picked = [questions[int(i)] for i in
+                  rng.integers(0, len(questions), size=batch_size)]
+        assert _top1_agreement(router.route_batch(picked),
+                               oracle_route_batch(router, picked)) >= 0.99
+
+    @pytest.mark.parametrize("num_beams,beam_groups", [(1, 1), (6, 3), (8, 1),
+                                                       (10, 5), (10, 10)])
+    def test_agrees_across_beam_budgets(self, trained_router, num_beams, beam_groups):
+        """Both the one-beam-per-group and general selection shapes, and the
+        question-compaction tail, reproduce the oracle's decisions."""
+        router, questions = trained_router
+        twin = _rebudgeted(router, num_beams=num_beams, beam_groups=beam_groups)
+        picked = questions[:10]
+        assert _top1_agreement(twin.route_batch(picked),
+                               oracle_route_batch(twin, picked)) >= 0.9
+
+    def test_unconstrained_and_plain_beam(self):
+        router, questions = _train_router(23, 4, constrained_decoding=False,
+                                          diverse_beam=False)
+        picked = questions[:8]
+        assert _top1_agreement(router.route_batch(picked),
+                               oracle_route_batch(router, picked)) >= 7 / 8
+
+    def test_route_matches_route_batch(self, trained_router):
+        router, questions = trained_router
+        picked = questions[:5]
+        batched = router.route_batch(picked)
+        for question, expected in zip(picked, batched):
+            assert _route_key(router.route(question)) == _route_key(expected)
+
+    def test_routes_independent_of_batch_composition(self, trained_router):
+        """End to end (encode + decode), a question's routes are bit-identical
+        no matter which micro-batch it rides in."""
+        router, questions = trained_router
+        target = questions[0]
+        alone = router.route_batch([target])[0]
+        shuffled = router.route_batch(questions[3:8] + [target, questions[1]])[5]
+        assert _route_key(alone) == _route_key(shuffled)
+
+    def test_empty_and_whitespace_questions_route(self, trained_router):
+        """Empty input takes the defined pad path in the engine and the oracle."""
+        router, questions = trained_router
+        batch = ["", "   ", questions[0], "\t\n"]
+        routed = router.route_batch(batch)
+        assert _top1_agreement(routed, oracle_route_batch(router, batch)) == 1.0
+        # Blank questions all reduce to the same pad-token encoding.
+        assert _route_key(routed[0]) == _route_key(routed[1])
+        assert _route_key(routed[0]) == _route_key(routed[3])
 
     def test_refit_clears_stale_parse_cache(self):
         """fit() must drop parse entries cached under the previous target
@@ -362,67 +351,82 @@ class TestFastTier:
         router.fit(report.examples)
         assert not router._parse_cache
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 8, 13])
-    def test_fast_routes_agree_with_vectorized(self, trained_pair, batch_size):
-        router, _, questions = trained_pair
-        fast = _fast_twin(router)
-        rng = np.random.default_rng(100 + batch_size)
+
+class TestEngineBitIdentity:
+    """Where the oracle only agrees to tolerance, the engine agrees with
+    itself to the bit: a question's routes do not depend on its batch."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 5, 9])
+    def test_bit_identical_across_batch_sizes(self, trained_router, batch_size):
+        router, questions = trained_router
+        rng = np.random.default_rng(batch_size)
         picked = [questions[int(i)] for i in
                   rng.integers(0, len(questions), size=batch_size)]
-        agreement = sum(
-            _top1_key(ours) == _top1_key(theirs)
-            for ours, theirs in zip(fast.route_batch(picked),
-                                    router.route_batch(picked))
-        ) / batch_size
-        assert agreement >= 0.99
+        batched = router.route_batch(picked)
+        alone = [router.route_batch([question])[0] for question in picked]
+        assert [_route_key(r) for r in batched] == [_route_key(r) for r in alone]
 
-    @pytest.mark.parametrize("num_beams,beam_groups", [(1, 1), (6, 3), (8, 1),
-                                                       (10, 5), (10, 10)])
-    def test_fast_agrees_across_beam_budgets(self, trained_pair,
-                                             num_beams, beam_groups):
-        """Both the one-beam-per-group and general selection shapes, and the
-        question-compaction tail, reproduce the exact engine's decisions."""
-        router, _, questions = trained_pair
-        vec = SchemaRouter(graph=router.graph, config=router.config.ablated(
-            num_beams=num_beams, beam_groups=beam_groups))
-        vec.restore(router.model, router.source_vocabulary,
-                    router.target_vocabulary)
-        fast = _fast_twin(vec)
-        picked = questions[:10]
-        matches = sum(
-            _top1_key(ours) == _top1_key(theirs)
-            for ours, theirs in zip(fast.route_batch(picked),
-                                    vec.route_batch(picked)))
-        assert matches >= 9
+    @pytest.mark.parametrize("num_beams,beam_groups", [(1, 1), (4, 2), (6, 6), (8, 1)])
+    def test_bit_identical_across_beam_budgets(self, trained_router, num_beams,
+                                               beam_groups):
+        """Every selection shape -- one beam per group, several, a single
+        group -- keeps a question's bits independent of batch order and
+        size."""
+        router, questions = trained_router
+        twin = _rebudgeted(router, num_beams=num_beams, beam_groups=beam_groups)
+        picked = questions[:6]
+        forward = twin.route_batch(picked)
+        backward = twin.route_batch(list(reversed(picked)))[::-1]
+        alone = [twin.route_batch([question])[0] for question in picked]
+        expected = [_route_key(r) for r in alone]
+        assert [_route_key(r) for r in forward] == expected
+        assert [_route_key(r) for r in backward] == expected
 
-    def test_fast_unconstrained_and_plain_beam(self):
-        router, questions = _train_router(23, 4, constrained_decoding=False,
-                                          diverse_beam=False)
-        fast = _fast_twin(router)
-        picked = questions[:8]
-        matches = sum(
-            _top1_key(ours) == _top1_key(theirs)
-            for ours, theirs in zip(fast.route_batch(picked),
-                                    router.route_batch(picked)))
-        assert matches >= 7
 
-    def test_checkpoint_round_trips_fast_backend(self, trained_pair, tmp_path):
-        from repro.serving.checkpoint import load_router, save_router
+# ---------------------------------------------------------------------------
+# Checkpoints written before the decode tiers were retired.
+# ---------------------------------------------------------------------------
+def _rewrite_router_config(checkpoint, **fields) -> None:
+    """Edit a saved router manifest in place (simulates an older build)."""
+    manifest_path = checkpoint / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["router_config"].update(fields)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
-        router, _, questions = trained_pair
-        fast = _fast_twin(router)
-        save_router(fast, tmp_path / "fast-ckpt")
-        restored = load_router(tmp_path / "fast-ckpt")
-        assert restored.config.decode_backend == "fast"
+
+class TestLegacyCheckpoints:
+    @pytest.mark.parametrize("backend", ["vectorized", "loop", "fast"])
+    def test_manifest_with_decode_backend_loads(self, trained_router, tmp_path,
+                                                backend):
+        router, questions = trained_router
+        checkpoint = save_router(router, tmp_path / "legacy")
+        _rewrite_router_config(checkpoint, decode_backend=backend)
+        restored = load_router(checkpoint)
+        assert not hasattr(restored.config, "decode_backend")
+        assert restored.config == router.config
         picked = questions[:4]
-        # The restored fast router reproduces the fast router's own routes
-        # exactly: same weights, same kernel, same machine.
         assert [_route_key(r) for r in restored.route_batch(picked)] == \
-            [_route_key(r) for r in fast.route_batch(picked)]
+            [_route_key(r) for r in router.route_batch(picked)]
 
-    def test_cluster_rides_fast_backend(self, trained_pair, tmp_path):
-        """The knob round-trips through cluster checkpoints: every projected
-        shard (and the escalation tier) decodes on the fast tier."""
+    def test_unknown_config_key_still_raises(self, trained_router, tmp_path):
+        router, _ = trained_router
+        checkpoint = save_router(router, tmp_path / "unknown")
+        _rewrite_router_config(checkpoint, turbo_mode=True)
+        with pytest.raises(CheckpointError, match="turbo_mode"):
+            load_router(checkpoint)
+
+    def test_retired_key_with_impossible_value_raises(self, trained_router,
+                                                      tmp_path):
+        router, _ = trained_router
+        checkpoint = save_router(router, tmp_path / "bogus")
+        _rewrite_router_config(checkpoint, decode_backend="turbo")
+        with pytest.raises(CheckpointError, match="decode_backend"):
+            load_router(checkpoint)
+
+    def test_cluster_checkpoint_with_decode_backend_boots(self, trained_router,
+                                                          tmp_path):
+        """A cluster saved by an older build (every master and shard manifest
+        carrying ``decode_backend``) boots and routes like a fresh save."""
         from repro.cluster import (
             ClusterConfig,
             ClusterRoutingService,
@@ -430,26 +434,21 @@ class TestFastTier:
             save_cluster,
         )
 
-        router, _, questions = trained_pair
-        fast = _fast_twin(router)
-        cluster = ClusterRoutingService.from_router(
-            fast, ClusterConfig(num_shards=2, replicas=1))
+        router, questions = trained_router
+        built = ClusterRoutingService.from_router(
+            router, ClusterConfig(num_shards=2, replicas=1))
         try:
-            for shard in cluster._shards:
-                worker = shard.workers[0]
-                assert worker.router.config.decode_backend == "fast"
-                if worker.careful_service is not None:
-                    careful = worker.careful_service.router
-                    assert careful.config.decode_backend == "fast"
-            checkpoint = save_cluster(cluster, tmp_path / "fast-cluster")
+            checkpoint = save_cluster(built, tmp_path / "legacy-cluster")
+            expected = built.submit_many(questions[:4])
         finally:
-            cluster.close()
+            built.close()
+        manifests = sorted(checkpoint.glob("*/manifest.json"))
+        assert len(manifests) >= 3  # the master plus one per shard
+        for manifest in manifests:
+            _rewrite_router_config(manifest.parent, decode_backend="fast")
         restored = load_cluster(checkpoint)
         try:
-            assert restored.master_router.config.decode_backend == "fast"
-            for shard in restored._shards:
-                assert shard.workers[0].router.config.decode_backend == "fast"
             routes = restored.submit_many(questions[:4])
         finally:
             restored.close()
-        assert len(routes) == 4
+        assert [_route_key(r) for r in routes] == [_route_key(r) for r in expected]

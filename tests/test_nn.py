@@ -280,29 +280,48 @@ class TestSeq2SeqAndDecoding:
         with pytest.raises(ValueError):
             diverse_beam_search(model, [1], 1, 2, num_beams=5, num_groups=3)
 
-    def test_batch_kernel_row_and_padding_invariance(self, toy_setup):
-        """The bit-exactness contract of ``decode_step_numpy_batch``: each row
-        is unaffected by the other rows in the stack and by zero-padding."""
+    def test_kernel_question_invariance(self, toy_setup):
+        """The batch-invariance contract of ``decode_step_numpy_batch_fast``:
+        at a fixed padded length, a question's slots come out bit-identical
+        whether it is stepped alone or stacked with other questions."""
         model, source_tokenizer, _, data, _ = toy_setup
         encoded = model.encode_numpy_batch(
             [source_tokenizer.encode_text(question) for question, _ in data])
         hidden = model.config.hidden_dim
         padded_length = max(item.memory.shape[0] for item in encoded) + 3
-        rows = len(encoded)
-        memory = np.zeros((rows, padded_length, hidden))
-        memory_mask = np.zeros((rows, padded_length), dtype=bool)
-        for row, item in enumerate(encoded):
-            memory[row, : item.memory.shape[0]] = item.memory
-            memory_mask[row, : item.memory.shape[0]] = True
-        states = np.stack([item.state for item in encoded])
-        previous = np.arange(rows, dtype=np.int64) % model.config.target_vocab_size
-        log_probs, new_states = model.decode_step_numpy_batch(
+        questions, slots = len(encoded), 5
+        memory = np.zeros((questions, padded_length, hidden))
+        memory_mask = np.zeros((questions, padded_length), dtype=bool)
+        for question, item in enumerate(encoded):
+            memory[question, : item.memory.shape[0]] = item.memory
+            memory_mask[question, : item.memory.shape[0]] = True
+        rng = np.random.default_rng(0)
+        states = np.tanh(rng.standard_normal((questions, slots, hidden)))
+        previous = rng.integers(0, model.config.target_vocab_size,
+                                size=(questions, slots))
+        log_probs, new_states = model.decode_step_numpy_batch_fast(
             memory, memory_mask, states, previous)
-        for row, item in enumerate(encoded):
-            single_log_probs, single_state = model.decode_step_numpy(
-                item, item.state, int(previous[row]))
-            assert np.array_equal(log_probs[row], single_log_probs)
-            assert np.array_equal(new_states[row], single_state)
+        assert log_probs.shape == (questions, slots, model.config.target_vocab_size)
+        for question in range(questions):
+            window = slice(question, question + 1)
+            alone_log_probs, alone_states = model.decode_step_numpy_batch_fast(
+                memory[window], memory_mask[window], states[window],
+                previous[window])
+            assert np.array_equal(log_probs[question], alone_log_probs[0])
+            assert np.array_equal(new_states[question], alone_states[0])
+
+    def test_single_row_step_matches_kernel(self, toy_setup):
+        """``decode_step_numpy`` (the loop oracle's step) is the kernel on one
+        unpadded slot."""
+        model, source_tokenizer, _, data, _ = toy_setup
+        item = model.encode_numpy(source_tokenizer.encode_text(data[0][0]))
+        log_probs, state = model.decode_step_numpy(item, item.state, 3)
+        kernel_log_probs, kernel_states = model.decode_step_numpy_batch_fast(
+            item.memory[None], np.ones((1, item.memory.shape[0]), dtype=bool),
+            item.state[None, None], np.asarray([[3]]))
+        assert np.array_equal(log_probs, kernel_log_probs[0, 0])
+        assert np.array_equal(state, kernel_states[0, 0])
+        assert np.isclose(np.exp(log_probs).sum(), 1.0)
 
     def test_encode_empty_source_uses_pad_token(self, toy_setup):
         model, _, _, _, _ = toy_setup

@@ -22,6 +22,7 @@ core contracts:
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import threading
@@ -212,32 +213,29 @@ class TestProcShardWorker:
                 worker.set_databases(("world_atlas",), master_router)
 
 
-class TestFastBackendOverTheWire:
-    def test_subprocess_worker_rides_fast_decode_tier(self, master_router,
-                                                      tmp_path_factory):
-        """A cluster saved from a ``decode_backend="fast"`` master boots
-        subprocess workers that decode on the fast tier transparently -- the
-        knob rides the per-shard router checkpoints, no wire change."""
-        fast_master = SchemaRouter(
-            graph=master_router.graph,
-            config=master_router.config.ablated(decode_backend="fast"))
-        fast_master.restore(master_router.model, master_router.source_vocabulary,
-                            master_router.target_vocabulary,
-                            master_router.training_losses)
+class TestLegacyManifestOverTheWire:
+    def test_subprocess_worker_boots_pre_retirement_manifest(self, master_router,
+                                                             tmp_path_factory):
+        """A shard checkpoint written before the decode tiers were retired
+        (its manifest carries ``decode_backend``) still spawns a subprocess
+        worker, and the worker answers bit-identically to an in-process
+        worker booted from the same checkpoint."""
         built = ClusterRoutingService.from_router(
-            fast_master, ClusterConfig(num_shards=2, strategy="size_balanced"))
-        path = save_cluster(built, tmp_path_factory.mktemp("fastproc") / "ckpt")
+            master_router, ClusterConfig(num_shards=2, strategy="size_balanced"))
+        path = save_cluster(built, tmp_path_factory.mktemp("legacy") / "ckpt")
         built.close()
+        manifest_path = path / "shard-00" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["router_config"]["decode_backend"] = "vectorized"
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
         local = ShardWorker.from_checkpoint(
             0, path / "shard-00",
             serving_config=ServingConfig(enable_batching=False))
-        assert local.router.config.decode_backend == "fast"
+        assert not hasattr(local.router.config, "decode_backend")
         with ProcShardWorker(0, path / "shard-00") as worker:
             questions = list(QUESTIONS[:6])
             over_wire = worker.route_batch(questions, max_candidates=3)
             in_process = local.route_batch(questions, max_candidates=3)
-            # Same checkpoint, same kernel, same machine: the wire must not
-            # change the fast tier's answers.
             assert _signature(over_wire) == _signature(in_process)
         local.close()
 
