@@ -22,7 +22,8 @@ Asserted properties:
   checkpoint-booted, cache-enabled ``spider_cluster`` fixture);
 * **backend fidelity** -- with ``--backend subprocess``, the subprocess
   cluster's top-1 matches the inproc cluster's on >= 95% of the workload
-  (scores cross the wire as hex floats, so in practice it is exact);
+  (protocol 3 sends scores as raw float64 binary, so in practice it is
+  exact);
 * **throughput** -- on cache-disabled twins (so the decode path is what is
   measured), the inproc 4-shard cluster holds >= 0.7x the single-shard
   routes/sec (a parity floor: scatter-gather must not collapse under the

@@ -110,9 +110,16 @@ def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[
     (decode cost scales with the shard's slice, not the global vocabulary),
     sharing the trunk with the master by reference.  Its
     ``vocabulary_slice`` carries the mapping back to the master head, and
-    final scores are calibrated by exact full-vocabulary rescoring
-    (:meth:`repro.core.router.SchemaRouter.rescore_hypotheses`), so merged
-    rankings stay comparable across differently-sliced shards.
+    final scores are calibrated to exact master-vocabulary scores -- on the
+    pool path by replaying hypotheses against the master head
+    (:meth:`repro.core.router.SchemaRouter.rescore_hypotheses`), on the wave
+    path by decoding through it (:class:`repro.nn.seq2seq.WaveDecodeKernel`),
+    both on the model's batch-invariant decode kernel -- so merged rankings
+    stay comparable across differently-sliced shards.
+
+    Either way the result is one of the two fleets the wave adapter
+    accepts: unsliced projections decode the master model itself, sliced
+    ones share one master head through their slices.
     """
     if not master.is_trained:
         raise ValueError("cannot project an untrained router")

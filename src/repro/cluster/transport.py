@@ -37,7 +37,7 @@ Route lists cross the wire in one of two bit-exact forms.  Protocol <= 2
 peers exchange :meth:`repro.core.router.SchemaRoute.to_payload` dicts, whose
 scores are C99 hex floats.  Protocol 3 peers put the scores and identifier
 token sequences in the binary segment as raw little-endian float64 / int32
-arrays (:func:`route_lists_to_binary`) -- the ``np.tobytes`` round trip
+arrays (:func:`route_lists_to_binary`) -- the ``struct`` round trip
 preserves every bit, same guarantee the hex floats bought, at a fraction of
 the encode/decode cost.  Either way
 :func:`repro.core.router.merge_route_lists` ranks identically whether the
@@ -52,8 +52,6 @@ import selectors
 import struct
 import time
 from typing import BinaryIO, Callable
-
-import numpy as np
 
 from repro.cluster.dispatcher import ClusterError
 from repro.core.router import SchemaRoute
@@ -446,10 +444,10 @@ def route_lists_from_payload(payload: list[list[dict]]) -> list[list[SchemaRoute
 
 
 # The protocol-3 binary route form.  Scores travel as raw little-endian IEEE
-# 754 doubles (``np.tobytes`` / ``np.frombuffer`` round-trips every bit, the
-# same guarantee the hex floats bought) and identifier names travel once, in
-# an interned string table, with each route a short int32 index sequence --
-# no per-route dicts, no float formatting, no hex parsing.
+# 754 doubles (``struct.pack`` / ``struct.unpack_from`` round-trips every
+# bit, the same guarantee the hex floats bought) and identifier names travel
+# once, in an interned string table, with each route a short int32 index
+# sequence -- no per-route dicts, no float formatting, no hex parsing.
 #
 # Segment layout (all little-endian, in this order)::
 #
@@ -460,14 +458,9 @@ def route_lists_from_payload(payload: list[list[dict]]) -> list[list[SchemaRoute
 #
 # The JSON side of the frame carries the descriptor: the three array lengths
 # plus the string table, so the segment size is fully determined before a
-# single byte of it is trusted.
-#
-# Segments at or below this many routes take a ``struct`` fast path on both
-# ends: ``struct.pack``/``unpack_from`` produce byte-identical little-endian
-# IEEE 754 output but skip numpy's fixed per-array overhead, which at the
-# typical reply size (a few dozen routes) costs more than the payload itself.
-# Larger segments amortize that overhead and go through numpy.
-SMALL_SEGMENT_ROUTES = 512
+# single byte of it is trusted.  ``struct`` rather than numpy on both ends:
+# at the typical reply size (a few dozen routes) numpy's fixed per-array
+# overhead costs more than the payload itself.
 
 
 def route_lists_to_binary(
@@ -494,20 +487,12 @@ def route_lists_to_binary(
             seq_lens.append(1 + len(route.tables))
             tokens.append(intern(route.database))
             tokens.extend(intern(table) for table in route.tables)
-    if len(scores) <= SMALL_SEGMENT_ROUTES:
-        segment = b"".join((
-            struct.pack(f"<{len(counts)}i", *counts),
-            struct.pack(f"<{len(scores)}d", *scores),
-            struct.pack(f"<{len(seq_lens)}i", *seq_lens),
-            struct.pack(f"<{len(tokens)}i", *tokens),
-        ))
-    else:
-        segment = b"".join((
-            np.asarray(counts, dtype="<i4").tobytes(),
-            np.asarray(scores, dtype="<f8").tobytes(),
-            np.asarray(seq_lens, dtype="<i4").tobytes(),
-            np.asarray(tokens, dtype="<i4").tobytes(),
-        ))
+    segment = b"".join((
+        struct.pack(f"<{len(counts)}i", *counts),
+        struct.pack(f"<{len(scores)}d", *scores),
+        struct.pack(f"<{len(seq_lens)}i", *seq_lens),
+        struct.pack(f"<{len(tokens)}i", *tokens),
+    ))
     descriptor = {"questions": len(counts), "routes": len(scores),
                   "tokens": len(tokens), "strings": strings}
     return descriptor, segment
@@ -532,50 +517,25 @@ def route_lists_from_binary(descriptor: dict,
         raise ProtocolError(
             f"binary route segment is {len(segment)} bytes, descriptor "
             f"implies {expected}")
-    # Both branches end at the same plain-Python sequences: indexing numpy
-    # scalars is ~10x the cost of list indexing, and ``struct.unpack_from`` /
-    # ``.tolist()`` of a float64 buffer both yield the exact same 64-bit
-    # doubles (this loop is the decode hot path of every route_response
-    # frame).  Small segments skip numpy entirely -- its fixed per-array
-    # overhead dwarfs a few-dozen-route payload.
-    if routes <= SMALL_SEGMENT_ROUTES:
-        offset = 0
-        count_list = struct.unpack_from(f"<{questions}i", segment, offset)
-        offset += 4 * questions
-        score_list = struct.unpack_from(f"<{routes}d", segment, offset)
-        offset += 8 * routes
-        length_list = struct.unpack_from(f"<{routes}i", segment, offset)
-        offset += 4 * routes
-        token_list = struct.unpack_from(f"<{tokens}i", segment, offset)
-        if sum(count_list) != routes or (count_list and min(count_list) < 0):
-            raise ProtocolError("binary route counts do not sum to the route total")
-        if sum(length_list) != tokens or (length_list and min(length_list) < 1):
-            raise ProtocolError(
-                "binary route sequences do not sum to the token total")
-        if token_list and (min(token_list) < 0
-                           or max(token_list) >= len(strings)):
-            raise ProtocolError("binary route token outside the string table")
-    else:
-        offset = 0
-        counts = np.frombuffer(segment, dtype="<i4", count=questions, offset=offset)
-        offset += 4 * questions
-        scores = np.frombuffer(segment, dtype="<f8", count=routes, offset=offset)
-        offset += 8 * routes
-        seq_lens = np.frombuffer(segment, dtype="<i4", count=routes, offset=offset)
-        offset += 4 * routes
-        table_ids = np.frombuffer(segment, dtype="<i4", count=tokens, offset=offset)
-        if int(counts.sum()) != routes or (counts < 0).any():
-            raise ProtocolError("binary route counts do not sum to the route total")
-        if int(seq_lens.sum()) != tokens or (seq_lens < 1).any():
-            raise ProtocolError(
-                "binary route sequences do not sum to the token total")
-        if tokens and (int(table_ids.min()) < 0
-                       or int(table_ids.max()) >= len(strings)):
-            raise ProtocolError("binary route token outside the string table")
-        count_list = counts.tolist()
-        score_list = scores.tolist()
-        length_list = seq_lens.tolist()
-        token_list = table_ids.tolist()
+    # Plain-Python tuples, not numpy arrays: this loop is the decode hot
+    # path of every route_response frame, and indexing numpy scalars is
+    # ~10x the cost of tuple indexing.
+    offset = 0
+    count_list = struct.unpack_from(f"<{questions}i", segment, offset)
+    offset += 4 * questions
+    score_list = struct.unpack_from(f"<{routes}d", segment, offset)
+    offset += 8 * routes
+    length_list = struct.unpack_from(f"<{routes}i", segment, offset)
+    offset += 4 * routes
+    token_list = struct.unpack_from(f"<{tokens}i", segment, offset)
+    if sum(count_list) != routes or (count_list and min(count_list) < 0):
+        raise ProtocolError("binary route counts do not sum to the route total")
+    if sum(length_list) != tokens or (length_list and min(length_list) < 1):
+        raise ProtocolError(
+            "binary route sequences do not sum to the token total")
+    if token_list and (min(token_list) < 0
+                       or max(token_list) >= len(strings)):
+        raise ProtocolError("binary route token outside the string table")
     try:
         names = [str(name) for name in strings]
     except ValueError as error:  # pragma: no cover - str() rarely fails

@@ -7,13 +7,15 @@ per wave.  :class:`ClusterWaveEngine` instead stacks every shard's beams into
 question of a single :func:`repro.nn.decoding.diverse_beam_search_batch` call
 over a :class:`repro.nn.seq2seq.WaveDecodeKernel`, tagged with its shard index
 so per-shard constraint masks and vocabulary slices stay exactly as they are
-on the pool path.  With sliced vocabularies the kernel decodes in
-calibrated-head mode: one master-width output GEMM per step, log-softmax over
-the *master* vocabulary, each shard's kept columns gathered into its grid
-slots -- so search prunes exactly as a master-head decode restricted to the
-slice would, and finished hypotheses already carry exact master-vocabulary
-scores (the pool path gets the same scores by post-hoc replay through
-:meth:`SchemaRouter.rescore_hypotheses`).
+on the pool path.  The adapter runs the model's own per-question decode
+kernel against memory padded to ``max_source_length``, exactly like
+:meth:`SchemaRouter.route_batch`, so a question's routes are bit-identical
+alone or in any wave.  With sliced vocabularies each step runs the master
+head: log-softmax over the *master* vocabulary, each shard's kept columns
+gathered into its grid slots -- so search prunes exactly as a master-head
+decode restricted to the slice would, and finished hypotheses already carry
+exact master-vocabulary scores (the pool path gets them by post-hoc replay
+through :meth:`SchemaRouter.rescore_hypotheses`).
 
 The engine deliberately mirrors the per-shard ``RoutingService`` request
 path around the stacked decode: the same cache consult (``variant`` keying
@@ -81,9 +83,9 @@ class _WaveTier:
                                  "token ids across shards")
         # Validates that every shard model shares the master trunk by
         # reference (raises ValueError for checkpoint-booted weight copies)
-        # and that any vocabulary slices share one master head -- in which
-        # case the kernel decodes in calibrated-head mode and emits exact
-        # master-vocabulary scores with no post-hoc rescoring.
+        # and that the fleet is either unsliced or sliced from one master
+        # head -- in which case the kernel emits exact master-vocabulary
+        # scores with no post-hoc rescoring.
         self.kernel = WaveDecodeKernel(
             [router.model for router in self.routers],
             [router.vocabulary_slice for router in self.routers])
@@ -227,6 +229,7 @@ class ClusterWaveEngine:
                         num_beams=tier.num_beams, num_groups=tier.num_groups,
                         diversity_penalty=tier.diversity_penalty,
                         max_length=tier.max_length, constraint=constraints,
+                        memory_length=max(tier.max_source_length, 1),
                         stats=stats, question_tags=tags)
                 except BaseException:
                     for shard, service in enumerate(tier.services):

@@ -338,10 +338,9 @@ class SchemaRouter:
         beam slot of every question advances through one slot-dense kernel
         call per decode step.  The engine is batch-invariant: a question's
         routes are bit-identical whether it is routed alone (:meth:`route`)
-        or in any batch.  Sliced-vocabulary shard routers are the exception:
-        their calibration pass (:meth:`rescore_hypotheses`) still runs flat
-        GEMMs padded to the batch's longest memory, so their scores can
-        differ in the last bits between batches.
+        or in any batch.  That holds for sliced-vocabulary shard routers
+        too, whose calibration pass (:meth:`rescore_hypotheses`) replays
+        each hypothesis through the same per-question kernel.
 
         ``traces`` is an optional per-question list of ``repro.obs`` trace
         contexts (``None`` entries allowed; repeats collapse): each distinct
@@ -466,12 +465,14 @@ class SchemaRouter:
         """Calibrate sliced-vocabulary scores to master-vocabulary scores.
 
         In-place, batched over every hypothesis of every question: each final
-        sequence is replayed teacher-forced through the trunk against the
-        full master head (see
+        sequence is replayed teacher-forced through the model's decode
+        kernel against the full master head, one ``(1, k)`` row per
+        hypothesis over memory padded to ``max_source_length`` (see
         :func:`repro.nn.seq2seq.rescore_token_sequences`), and its score
         replaced by the exact global log-probability -- afterwards scores
         from differently-sliced shards are directly comparable, exactly as
-        if every shard had decoded over the master vocabulary.  No-op for
+        if every shard had decoded over the master vocabulary, and no score
+        depends on which other hypotheses shared the call.  No-op for
         unsliced routers.
         """
         if self.vocabulary_slice is None:
@@ -490,6 +491,7 @@ class SchemaRouter:
             return
         scores = rescore_token_sequences(self.model, encoded_rows, sequences,
                                          self.vocabulary_slice,
+                                         memory_length=max(self.config.max_source_length, 1),
                                          bos_id=self.target_vocabulary.bos_id)
         for (question, position), score in zip(rows, scores):
             hypotheses_batch[question][position].score = float(score)

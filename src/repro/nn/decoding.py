@@ -18,9 +18,9 @@ One production engine implements those semantics:
 
 * :func:`diverse_beam_search_batch` -- the slot-dense decode engine.  It
   advances every beam slot of every question in a micro-batch through one
-  :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast` call
-  per step, with bookkeeping (tokens, lengths, scores, states, finished
-  flags, constraint masks) resident in preallocated numpy grids.  It is
+  :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step` call per step, with
+  bookkeeping (tokens, lengths, scores, states, finished flags, constraint
+  masks) resident in preallocated numpy grids.  It is
   *batch-invariant* by construction: the kernel runs one fixed-shape GEMM
   per question and projection, and the router pads every attention memory
   to one fixed length, so a question decodes to the same tokens and the
@@ -252,6 +252,7 @@ def diverse_beam_search(model: Seq2SeqModel, source_ids: Sequence[int], bos_id: 
         num_beams=num_beams, num_groups=num_groups,
         diversity_penalty=diversity_penalty, max_length=max_length,
         constraint=constraint, length_penalty=length_penalty,
+        memory_length=encoded.memory.shape[0],
     )[0]
 
 
@@ -362,10 +363,10 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
                               num_beams: int = 10, num_groups: int = 10,
                               diversity_penalty: float = 2.0, max_length: int = 48,
                               constraint: "Constraint | Sequence[Constraint | None] | None" = None,
-                              length_penalty: float = 0.0,
+                              length_penalty: float = 0.0, *,
+                              memory_length: int,
                               stats: dict | None = None,
-                              question_tags: Sequence[int] | None = None,
-                              memory_length: int | None = None
+                              question_tags: Sequence[int] | None = None
                               ) -> list[list[BeamHypothesis]]:
     """Diverse beam search over a whole micro-batch: the decode engine.
 
@@ -375,9 +376,9 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
     layout is organised for throughput:
 
     * every ``(question, group, slot)`` of the beam grid advances through
-      :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`
-      each step -- one fixed-shape ``(S, k) @ (k, n)`` GEMM per question and
-      projection, batched per-question attention -- with states, previous
+      :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step` each step -- one
+      fixed-shape ``(S, k) @ (k, n)`` GEMM per question and projection,
+      batched per-question attention -- with states, previous
       tokens, and constraint masks kept *resident* in preallocated arrays,
       so steps perform no row gathers and no stacking; finished or unused
       slots ride along (their outputs are simply never read) rather than
@@ -390,16 +391,14 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
     * once every group of a question has finished, the question is banked
       out of the grid, so a batch's stragglers stop paying for done rows.
 
-    Batch invariance: with ``memory_length`` set, every encoder memory is
-    zero-padded to that fixed attention length (a longer memory raises
+    Batch invariance: every encoder memory is zero-padded to the fixed
+    attention length ``memory_length`` (a longer memory raises
     :class:`ValueError` rather than silently padding further), so each
     question's kernel inputs have the same shapes whatever it is batched
     with, and the kernel never shares a GEMM between questions.  A
     question's hypotheses -- tokens and every bit of their scores -- are
     then a function of the model and the question alone: identical alone,
     in any micro-batch, at any position, before or after compaction.
-    ``memory_length=None`` pads to the batch's longest memory instead (the
-    cluster wave path, whose kernel is not batch-invariant anyway).
 
     Against the loop oracle the engine agrees to tolerance, not to the bit:
     the oracle advances one ``(1, k)`` row per kernel call against the
@@ -418,10 +417,12 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
     beams into one grid): ``constraint`` may be a sequence with exactly one
     entry per question -- each ``None`` or incremental-protocol (the prefix-
     walk fallback stays scalar-only) -- and ``question_tags`` labels each
-    question with an integer shard tag.  Tags ride through compaction, are
-    handed to the kernel's ``tags`` parameter each step (see
-    :class:`~repro.nn.seq2seq.WaveDecodeKernel`), and split the decode
-    counters into ``stats["per_tag"]``.
+    question with an integer shard tag.  Tags ride through compaction (which
+    keeps their order, so shard-major stacking stays sorted), are handed to
+    the ``tags`` parameter of the
+    :class:`~repro.nn.seq2seq.WaveDecodeKernel` adapter each step, and split
+    the decode counters into ``stats["per_tag"]``.  The adapter runs the
+    same per-question kernel, so wave rows are batch-invariant too.
 
     Returns one hypothesis list per question.  ``stats``, when given,
     accumulates ``steps`` (kernel calls), ``beam_rows`` (grid slots advanced,
@@ -434,9 +435,7 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
     hidden = encoded_batch[0].state.shape[0]
     vocab_size = model.config.target_vocab_size
     longest = max(encoded.memory.shape[0] for encoded in encoded_batch)
-    if memory_length is None:
-        memory_length = longest
-    elif longest > memory_length:
+    if longest > memory_length:
         raise ValueError(
             f"a source memory of length {longest} exceeds the fixed attention "
             f"length {memory_length}")
@@ -677,14 +676,14 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
         steps += 1
         beam_rows += num_questions * slots
         if tag_array is None:
-            log_probabilities, step_states = model.decode_step_numpy_batch_fast(
+            log_probabilities, step_states = model.decode_step(
                 memory, memory_mask, flat_states, previous,
                 input_table=input_table, memory_t=memory_t)
         else:
             resident = np.bincount(tag_array, minlength=num_tags)
             tag_beam_rows += resident * slots
             tag_steps += resident > 0
-            log_probabilities, step_states = model.decode_step_numpy_batch_fast(
+            log_probabilities, step_states = model.decode_step(
                 memory, memory_mask, flat_states, previous,
                 input_table=input_table, memory_t=memory_t, tags=tag_array)
         log_probabilities = log_probabilities.reshape(shape + (vocab_size,))

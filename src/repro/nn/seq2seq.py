@@ -9,15 +9,17 @@ Architecture (a compact stand-in for the paper's T5-base):
   state are combined and projected to target-vocabulary logits.
 
 Training uses the autograd engine; inference (:meth:`Seq2SeqModel.encode_numpy`
-and :meth:`Seq2SeqModel.decode_step_numpy_batch_fast`) runs on raw numpy so
-that beam search and constrained decoding stay fast and allocation-free.
+and :meth:`Seq2SeqModel.decode_step`) runs on raw numpy so that beam search
+and constrained decoding stay fast and allocation-free.
 
-The decode hot path is the slot-dense kernel
-:meth:`Seq2SeqModel.decode_step_numpy_batch_fast`, which advances ``S`` beam
-slots of each of ``Q`` questions in one step with one fixed-shape GEMM per
-question and projection, so a question's doubles never depend on the other
-questions in the batch.  :meth:`Seq2SeqModel.decode_step_numpy` is its
-single-row wrapper, used by greedy decoding and the loop test oracle.
+:meth:`Seq2SeqModel.decode_step` is the one implementation of the decoder
+trunk at inference: it advances ``S`` beam slots of each of ``Q`` questions
+in one step with one fixed-shape GEMM per question and projection, so a
+question's doubles never depend on the other questions in the batch.
+:meth:`Seq2SeqModel.decode_step_numpy` is its single-row wrapper, used by
+greedy decoding and the loop test oracle; the sliced-vocabulary rescore
+(:func:`rescore_token_sequences`) and the cluster wave adapter
+(:class:`WaveDecodeKernel`) run through it with a master output head.
 """
 
 from __future__ import annotations
@@ -198,12 +200,12 @@ class Seq2SeqModel(Module):
                           ) -> tuple[np.ndarray, np.ndarray]:
         """One inference decoder step for one beam (a thin wrapper).
 
-        Runs :meth:`decode_step_numpy_batch_fast` on a single ``(1, 1)`` slot
-        against the unpadded memory; ``input_table`` is the optional
+        Runs :meth:`decode_step` on a single ``(1, 1)`` slot against the
+        unpadded memory; ``input_table`` is the optional
         :meth:`fast_input_table` a per-step caller computes once.  Returns
         (log-probabilities ``(V,)``, new state ``(h,)``).
         """
-        log_probabilities, new_states = self.decode_step_numpy_batch_fast(
+        log_probabilities, new_states = self.decode_step(
             encoded.memory[None, :, :],
             (np.asarray(encoded.mask) != 0.0)[None, :],
             np.asarray(state, dtype=np.float64)[None, None, :],
@@ -212,24 +214,25 @@ class Seq2SeqModel(Module):
         return log_probabilities[0, 0], new_states[0, 0]
 
     def fast_input_table(self) -> np.ndarray:
-        """The fused ``(V, h)`` previous-token table for the fast kernel.
+        """The fused ``(V, h)`` previous-token table for :meth:`decode_step`.
 
         ``embedding @ W_in + b_hh`` precomputed for every vocabulary entry,
-        so each fast step replaces an embedding gather, a GEMM, and two bias
-        adds with a single table gather.  Computed fresh on each call (one
-        small ``(V, d) @ (d, h)`` GEMM) -- hot callers grab it once per
-        decode and pass it to every step, which keeps it trivially coherent
-        with the live weights.
+        so each step replaces an embedding gather, a GEMM, and two bias adds
+        with a single table gather.  Computed fresh on each call (one small
+        ``(V, d) @ (d, h)`` GEMM) -- hot callers grab it once per decode and
+        pass it to every step, which keeps it trivially coherent with the
+        live weights.
         """
         return (self.target_embedding.weight.data
                 @ self.input_projection.weight.data
                 + self.recurrent_projection.bias.data)
 
-    def decode_step_numpy_batch_fast(self, memory: np.ndarray, memory_mask: np.ndarray,
-                                     states: np.ndarray, previous_ids: np.ndarray,
-                                     input_table: np.ndarray | None = None,
-                                     memory_t: np.ndarray | None = None
-                                     ) -> tuple[np.ndarray, np.ndarray]:
+    def decode_step(self, memory: np.ndarray, memory_mask: np.ndarray,
+                    states: np.ndarray, previous_ids: np.ndarray,
+                    input_table: np.ndarray | None = None,
+                    memory_t: np.ndarray | None = None,
+                    head: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``S`` beam slots of each of ``Q`` questions by one step.
 
         ``memory`` is ``(Q, T, h)`` (zero-padded along ``T``), ``memory_mask``
@@ -253,15 +256,21 @@ class Seq2SeqModel(Module):
         padded) may still move the last ulps of the attention sums.
 
         ``input_table`` is the :meth:`fast_input_table` fusion of the
-        previous-token embedding and input projection, and ``memory_t`` a
-        C-contiguous ``(Q, h, T)`` transpose of ``memory``; hot callers
-        compute both once per decode, and they are rebuilt here when absent.
+        previous-token embedding and input projection (``previous_ids``
+        index its rows), and ``memory_t`` a C-contiguous ``(Q, h, T)``
+        transpose of ``memory``; hot callers compute both once per decode,
+        and they are rebuilt here when absent.  ``head`` overrides the
+        output projection with a ``(weight (h, V'), bias (V',))`` pair: the
+        cluster's sliced shards decode and rescore through the master head
+        this way, normalizing over the master vocabulary.
         """
         hidden = states.shape[2]
         if input_table is None:
             input_table = self.fast_input_table()
         if memory_t is None:
             memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
+        if head is None:
+            head = (self.output_projection.weight.data, self.output_projection.bias.data)
         new_states = np.tanh(
             input_table[previous_ids]
             + np.matmul(states, self.recurrent_projection.weight.data))        # (Q, S, h)
@@ -283,8 +292,7 @@ class Seq2SeqModel(Module):
             np.matmul(np.concatenate([new_states, context], axis=2),
                       self.combine_projection.weight.data)
             + self.combine_projection.bias.data)                                # (Q, S, h)
-        logits = np.matmul(combined, self.output_projection.weight.data) \
-            + self.output_projection.bias.data                                  # (Q, S, V)
+        logits = np.matmul(combined, head[0]) + head[1]                         # (Q, S, V)
         logits = logits - logits.max(axis=2, keepdims=True)
         log_probabilities = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
         return log_probabilities, new_states
@@ -317,94 +325,83 @@ def rescore_token_sequences(model: "Seq2SeqModel",
                             encoded_list: list[EncodedSource],
                             sequences: list[list[int]],
                             vocabulary_slice: VocabularySlice,
+                            memory_length: int,
                             bos_id: int = 1) -> np.ndarray:
     """Exact master-vocabulary log-probabilities of sliced decodes.
 
     Replays each token sequence (sliced-vocabulary ids, *including* the
     trailing EOS for finished hypotheses) teacher-forced through ``model``'s
-    trunk, scoring every step against the full master head carried by
-    ``vocabulary_slice``.  The decoder state recursion never touches the
-    output head and the sliced embedding rows are the master's kept rows, so
-    the replayed trunk states match a master-vocabulary decode of the same
-    path -- the returned score is the global score the master model would
-    have assigned, up to GEMM regrouping noise.
+    :meth:`~Seq2SeqModel.decode_step`, scoring every step against the full
+    master head carried by ``vocabulary_slice``.  The decoder state
+    recursion never touches the output head and the sliced embedding rows
+    are the master's kept rows, so the replayed trunk states match a
+    master-vocabulary decode of the same path -- the returned score is the
+    global score the master model would have assigned, up to GEMM
+    regrouping noise.
 
-    Runs fast-kernel style: all rows advance together, one flat output GEMM
-    per step over the rows still inside their sequence.  Returns ``(R,)``
-    summed log-probabilities (zeros for empty sequences).
+    Each sequence is its own ``(1, k)`` question row against memory padded
+    to ``memory_length``, so its score bits do not depend on which other
+    sequences share the call.  Returns ``(R,)`` summed log-probabilities
+    (zeros for empty sequences).
     """
-    if not sequences:
-        return np.zeros(0)
     lengths = np.asarray([len(sequence) for sequence in sequences], dtype=np.int64)
-    max_length = int(lengths.max())
     scores = np.zeros(len(sequences))
-    if max_length == 0:
+    if not sequences or lengths.max() == 0:
         return scores
+    # Longest sequence first: the rows still inside their sequence at any
+    # step are then a prefix, so each step advances views, never gathers.
+    order = np.argsort(-lengths, kind="stable")
+    rows, max_length = len(sequences), int(lengths[order[0]])
     hidden = model.config.hidden_dim
-    rows = len(sequences)
-    memory_length = max(encoded.memory.shape[0] for encoded in encoded_list)
     memory = np.zeros((rows, memory_length, hidden))
     memory_mask = np.zeros((rows, memory_length), dtype=bool)
-    states = np.empty((rows, hidden))
-    for row, encoded in enumerate(encoded_list):
+    states = np.empty((rows, 1, hidden))
+    targets = np.zeros((rows, max_length), dtype=np.int64)
+    for row, index in enumerate(order.tolist()):
+        encoded = encoded_list[index]
         true_length = encoded.memory.shape[0]
         memory[row, :true_length] = encoded.memory
         memory_mask[row, :true_length] = np.asarray(encoded.mask) != 0.0
-        states[row] = encoded.state
+        states[row, 0] = encoded.state
+        targets[row, : lengths[index]] = sequences[index]
     memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
-    targets = np.zeros((rows, max_length), dtype=np.int64)
-    for row, sequence in enumerate(sequences):
-        targets[row, : len(sequence)] = sequence
-
+    master_targets = vocabulary_slice.kept_ids[targets]
+    active_rows = (lengths[order][None, :] > np.arange(max_length)[:, None]).sum(axis=1)
     input_table = model.fast_input_table()
-    recurrent_weight = model.recurrent_projection.weight.data
-    combine_weight = model.combine_projection.weight.data
-    combine_bias = model.combine_projection.bias.data
-    kept_ids = vocabulary_slice.kept_ids
-    head_weight = vocabulary_slice.output_weight
-    head_bias = vocabulary_slice.output_bias
-    all_visible = bool(memory_mask.all())
-
-    previous = np.full(rows, bos_id, dtype=np.int64)
-    for step in range(max_length):
-        active = np.nonzero(step < lengths)[0]
-        new_states = np.tanh(input_table[previous] + states @ recurrent_weight)
-        attention_scores = np.matmul(new_states[:, None, :], memory_t)[:, 0, :]
-        if not all_visible:
-            attention_scores = np.where(memory_mask, attention_scores, -np.inf)
-        if hidden > 512:
-            attention_scores = attention_scores - attention_scores.max(axis=1, keepdims=True)
-        attention = np.exp(attention_scores)
-        attention /= attention.sum(axis=1, keepdims=True)
-        context = np.matmul(attention[:, None, :], memory)[:, 0, :]
-        combined = np.tanh(
-            np.concatenate([new_states, context], axis=1) @ combine_weight + combine_bias)
-        logits = combined[active] @ head_weight + head_bias                     # (A, V_master)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        normalizers = np.log(np.exp(logits).sum(axis=1))
-        master_targets = kept_ids[targets[active, step]]
-        scores[active] += logits[np.arange(len(active)), master_targets] - normalizers
-        states = new_states
-        previous = np.where(step < lengths, targets[:, step], 0)
+    head = (vocabulary_slice.output_weight, vocabulary_slice.output_bias)
+    previous = np.full((rows, 1), bos_id, dtype=np.int64)
+    replayed = np.zeros(rows)
+    for step, active in enumerate(active_rows.tolist()):
+        log_probabilities, states = model.decode_step(
+            memory[:active], memory_mask[:active], states[:active],
+            previous[:active], input_table=input_table,
+            memory_t=memory_t[:active], head=head)
+        replayed[:active] += log_probabilities[
+            np.arange(active), 0, master_targets[:active, step]]
+        previous = targets[:active, step : step + 1]
+    scores[order] = replayed
     return scores
 
 
 class WaveDecodeKernel:
-    """One decode stream over several shard models of one trunk.
+    """Shard-tag adapter: one decode stream over several shard models.
 
-    Duck-types the slice of :class:`Seq2SeqModel` the slot-dense decode
-    engine touches (``config``, :meth:`fast_input_table`,
-    :meth:`decode_step_numpy_batch_fast`), batching every shard's beams of a
-    scatter wave into single flat GEMMs.  All shard models must share the
-    trunk modules by reference (they do: :func:`repro.cluster.shard.project_router`
-    either reuses the master model outright or shares its trunk into a
-    sliced twin); only the target embedding / output head may differ per
-    shard.  Each question row carries a shard ``tag``; the previous-token
-    gather indexes a stacked per-shard input table, and the output head runs
-    either as one shared GEMM (unsliced shards -- every head is the master's)
-    or as per-shard grouped GEMMs whose log-softmax normalizes over each
-    shard's own slice, written into a ``-inf``-padded common-width grid so
-    the engine's top-k machinery is untouched.
+    Duck-types what the decode engine touches of a model (``config``,
+    :meth:`fast_input_table`, :meth:`decode_step`) and runs every step
+    through the master trunk's :meth:`Seq2SeqModel.decode_step`, so a wave
+    row decodes to the same bits alone or in any wave.  Two fleets qualify,
+    the two :func:`repro.cluster.shard.project_router` builds:
+
+    * unsliced -- every shard decodes the master model itself, so steps
+      forward to its kernel unchanged;
+    * sliced -- every shard is a twin sharing the master trunk by reference,
+      with a :class:`VocabularySlice` of one master head.  Each question row
+      carries a shard ``tag``; the previous-token gather indexes a stacked
+      per-shard input table, the step runs the master head (log-softmax over
+      the *master* vocabulary, so search prunes as a master-head decode
+      restricted to the slice would and scores come out calibrated), and
+      each shard's kept columns are gathered into a ``-inf``-padded
+      common-width grid so the engine's top-k machinery is untouched.
     """
 
     _TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",
@@ -424,33 +421,27 @@ class WaveDecodeKernel:
                     raise ValueError(
                         f"wave decode requires shard models sharing one trunk; "
                         f"{attribute!r} differs")
-        self.vocab_width = max(model.config.target_vocab_size for model in self.models)
-        self.config = replace(base.config, target_vocab_size=self.vocab_width)
-        self.shared_head = all(
-            model.output_projection is base.output_projection for model in self.models)
         if vocabulary_slices is None:
             vocabulary_slices = [None] * len(self.models)
         if len(vocabulary_slices) != len(self.models):
             raise ValueError("one vocabulary slice (or None) per shard model")
         self.vocabulary_slices = list(vocabulary_slices)
-        # Calibrated-head mode: every shard is a slice of one master head, so
-        # each step can run a single master-width GEMM, log-softmax over the
-        # *master* vocabulary, and gather each shard's kept columns -- the
-        # decode then emits exact master-vocabulary scores (no post-hoc
-        # rescoring), and search prunes exactly as a master-head decode
-        # restricted to the slice would.
-        self.calibrated_head = all(
-            vocabulary_slice is not None for vocabulary_slice in self.vocabulary_slices
-        ) and all(
-            vocabulary_slice.output_weight is self.vocabulary_slices[0].output_weight
-            and vocabulary_slice.output_bias is self.vocabulary_slices[0].output_bias
+        head = self.vocabulary_slices[0]
+        self.calibrated_head = head is not None and all(
+            vocabulary_slice is not None
+            and vocabulary_slice.output_weight is head.output_weight
+            and vocabulary_slice.output_bias is head.output_bias
             for vocabulary_slice in self.vocabulary_slices)
-        if not self.calibrated_head and any(
-                vocabulary_slice is not None
-                for vocabulary_slice in self.vocabulary_slices):
+        if not self.calibrated_head and not all(
+                vocabulary_slice is None and model is base
+                for model, vocabulary_slice in zip(self.models,
+                                                   self.vocabulary_slices)):
             raise ValueError(
-                "wave decode requires either no vocabulary slices or one "
-                "shared master head across every shard's slice")
+                "wave decode requires either one unsliced model shared by "
+                "every shard or one shared master head across every shard's "
+                "slice")
+        self.vocab_width = max(model.config.target_vocab_size for model in self.models)
+        self.config = replace(base.config, target_vocab_size=self.vocab_width)
 
     def fast_input_table(self) -> np.ndarray:
         """Per-shard fused previous-token tables, stacked ``(K * Vmax, h)``.
@@ -458,103 +449,48 @@ class WaveDecodeKernel:
         Shard ``k``'s table occupies rows ``[k * Vmax, k * Vmax + V_k)``;
         the gather offset is ``tag * Vmax + previous_id``.  Pad rows stay
         zero and are never gathered (a shard's previous ids are < ``V_k``).
+        An unsliced fleet has one model, hence one table.
         """
-        hidden = self.config.hidden_dim
-        table = np.zeros((len(self.models) * self.vocab_width, hidden))
+        if not self.calibrated_head:
+            return self.models[0].fast_input_table()
+        table = np.zeros((len(self.models) * self.vocab_width, self.config.hidden_dim))
         for shard, model in enumerate(self.models):
             shard_table = model.fast_input_table()
             start = shard * self.vocab_width
             table[start : start + shard_table.shape[0]] = shard_table
         return table
 
-    def decode_step_numpy_batch_fast(self, memory: np.ndarray, memory_mask: np.ndarray,
-                                     states: np.ndarray, previous_ids: np.ndarray,
-                                     input_table: np.ndarray | None = None,
-                                     memory_t: np.ndarray | None = None,
-                                     tags: np.ndarray | None = None
-                                     ) -> tuple[np.ndarray, np.ndarray]:
-        """One step for a shard-tagged wave; same shapes as the model
-        kernel plus ``tags`` ``(Q,)`` (shard index per question row).
-
-        Trunk math is that of
-        :meth:`Seq2SeqModel.decode_step_numpy_batch_fast` (the trunk is
-        shared), but the projections run as flat ``(Q*S, k)`` GEMMs, so a
-        wave row's last ulps may depend on the rest of the wave; only the
-        previous-token gather and the output head are shard-aware.  Columns ``>= V_k`` of a shard's rows come back
-        ``-inf``, so padded vocabulary slots can never win a top-k.
-        """
-        if tags is None:
-            raise ValueError("the wave kernel needs per-question shard tags")
+    def decode_step(self, memory: np.ndarray, memory_mask: np.ndarray,
+                    states: np.ndarray, previous_ids: np.ndarray,
+                    input_table: np.ndarray | None = None,
+                    memory_t: np.ndarray | None = None, *,
+                    tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step for a shard-tagged wave: the shapes of
+        :meth:`Seq2SeqModel.decode_step` plus ``tags`` ``(Q,)``, the shard
+        index of each question row, stacked shard-major (sorted).  Columns
+        ``>= V_k`` of shard ``k``'s rows come back ``-inf``, so padded
+        vocabulary slots can never win a top-k."""
         base = self.models[0]
-        questions, slots, hidden = states.shape
-        flat_states = states.reshape(questions * slots, hidden)
+        if not self.calibrated_head:
+            return base.decode_step(memory, memory_mask, states, previous_ids,
+                                    input_table=input_table, memory_t=memory_t)
+        tags = np.asarray(tags, dtype=np.int64)
+        if np.any(tags[1:] < tags[:-1]):
+            raise ValueError("wave rows must be stacked shard-major (sorted tags)")
         if input_table is None:
             input_table = self.fast_input_table()
-        if memory_t is None:
-            memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
-        tags = np.asarray(tags, dtype=np.int64)
-        gather_rows = (previous_ids + tags[:, None] * self.vocab_width).reshape(-1)
-        new_states = np.tanh(
-            input_table[gather_rows]
-            + flat_states @ base.recurrent_projection.weight.data)              # (Q*S, h)
-        states3 = new_states.reshape(questions, slots, hidden)
-
-        scores = np.matmul(states3, memory_t)                                   # (Q, S, T)
-        if not memory_mask.all():
-            scores = np.where(memory_mask[:, None, :], scores, -np.inf)
-        if hidden > 512:
-            scores = scores - scores.max(axis=2, keepdims=True)
-        attention = np.exp(scores)
-        attention /= attention.sum(axis=2, keepdims=True)
-        context = np.matmul(attention, memory)                                  # (Q, S, h)
-
-        combined = np.tanh(
-            np.concatenate([new_states, context.reshape(-1, hidden)], axis=1)
-            @ base.combine_projection.weight.data
-            + base.combine_projection.bias.data)                                # (Q*S, h)
-        if self.shared_head:
-            logits = combined @ base.output_projection.weight.data \
-                + base.output_projection.bias.data
-            logits = logits - logits.max(axis=1, keepdims=True)
-            log_probabilities = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-            return (log_probabilities.reshape(questions, slots, -1), states3)
-        flat_tags = np.repeat(tags, slots)
-        log_probabilities = np.full((questions * slots, self.vocab_width), -np.inf)
-        # The wave engine stacks rows shard-major and compaction preserves
-        # order, so each shard's rows are normally one contiguous block --
-        # sliced views instead of boolean gathers.  Unsorted tags still work
-        # through the nonzero fallback.
-        tags_sorted = bool(np.all(tags[:-1] <= tags[1:]))
-        master_log_probabilities = None
-        if self.calibrated_head:
-            # One master-width GEMM for every row; per-shard work is just a
-            # kept-column gather.  Normalizing over the master vocabulary is
-            # the calibration: emitted scores are exact global scores.
-            head = self.vocabulary_slices[0]
-            logits = combined @ head.output_weight + head.output_bias           # (Q*S, V_master)
-            logits = logits - logits.max(axis=1, keepdims=True)
-            master_log_probabilities = logits \
-                - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        for shard, model in enumerate(self.models):
-            if tags_sorted:
-                start, stop = np.searchsorted(flat_tags, (shard, shard + 1))
-                if start == stop:
-                    continue
-                shard_rows: slice | np.ndarray = slice(int(start), int(stop))
-            else:
-                indices = np.nonzero(flat_tags == shard)[0]
-                if not indices.size:
-                    continue
-                shard_rows = indices
-            if master_log_probabilities is not None:
-                kept_ids = self.vocabulary_slices[shard].kept_ids
-                log_probabilities[shard_rows, : len(kept_ids)] = \
-                    master_log_probabilities[shard_rows][:, kept_ids]
-                continue
-            block = combined[shard_rows] @ model.output_projection.weight.data \
-                + model.output_projection.bias.data                             # (Rk, V_k)
-            block = block - block.max(axis=1, keepdims=True)
-            block = block - np.log(np.exp(block).sum(axis=1, keepdims=True))
-            log_probabilities[shard_rows, : block.shape[1]] = block
-        return (log_probabilities.reshape(questions, slots, -1), states3)
-
+        head = self.vocabulary_slices[0]
+        master_log_probabilities, new_states = base.decode_step(
+            memory, memory_mask, states,
+            previous_ids + tags[:, None] * self.vocab_width,
+            input_table=input_table, memory_t=memory_t,
+            head=(head.output_weight, head.output_bias))                    # (Q, S, V_master)
+        log_probabilities = np.full(previous_ids.shape + (self.vocab_width,), -np.inf)
+        bounds = np.searchsorted(tags, np.arange(len(self.models) + 1)).tolist()
+        for shard, vocabulary_slice in enumerate(self.vocabulary_slices):
+            start, stop = bounds[shard], bounds[shard + 1]
+            if start < stop:
+                kept_ids = vocabulary_slice.kept_ids
+                log_probabilities[start:stop, :, : len(kept_ids)] = \
+                    master_log_probabilities[start:stop][:, :, kept_ids]
+        return log_probabilities, new_states

@@ -6,12 +6,15 @@ a micro-batch of 8, 32 or 96, at any position, before or after the batch's
 finished questions are compacted out of the beam grid.  The workload mixes
 96 seeded questions with empty, whitespace-only, over-length and
 out-of-vocabulary ones and one long straggler.  The same bits must come back
-from a route-cache hit and across the subprocess wire.
+from a route-cache hit and across the subprocess wire, and from the cluster
+paths that decode sliced shard vocabularies: the pool path's calibration
+replay and the wave engine's stacked decode.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +38,9 @@ from repro.serving import RoutingService, ServingConfig
 SEED = 41
 NUM_QUESTIONS = 96
 CHUNK_SIZES = (8, 32, 96)
+WAVE_SIZE = 16
+SLICED_CLUSTER = ClusterConfig(num_shards=4, strategy="round_robin",
+                               sliced_vocabulary=True, enable_cache=False)
 
 
 def _route_keys(route_lists):
@@ -182,3 +188,40 @@ def test_subprocess_worker_matches_inproc_bits(workload, tmp_path):
     finally:
         local.close()
     assert over_wire == alone
+
+
+def test_sliced_pool_cluster_merges_bit_identically_in_waves(workload):
+    """Sliced shards calibrate by replaying hypotheses through the master
+    head; that replay must not couple a question to its wave either."""
+    router, questions, _ = workload
+    with ClusterRoutingService.from_router(router, SLICED_CLUSTER) as cluster:
+        assert cluster.wave_engine is None
+        alone = [_route_keys(cluster.submit_many([question]))[0]
+                 for question in questions]
+        waved = [key for chunk in _chunked(questions, WAVE_SIZE)
+                 for key in _route_keys(cluster.submit_many(chunk))]
+    assert all(alone)
+    assert waved == alone
+
+
+@pytest.mark.parametrize("careful", [False, True], ids=["fast", "careful"])
+def test_sliced_wave_engine_rows_bit_identical_in_waves(workload, careful):
+    """Every (shard, question) row of the stacked wave decode comes back with
+    the bits it has when the question is routed alone."""
+    router, questions, _ = workload
+    config = replace(SLICED_CLUSTER, wave_decode=True)
+    with ClusterRoutingService.from_router(router, config) as cluster:
+        engine = cluster.wave_engine
+        assert engine is not None, cluster._wave_disabled_reason
+        assert engine.has_careful_tier
+        assert engine._tier(careful=careful).kernel.calibrated_head
+
+        def rows(per_shard):
+            return [_route_keys(routes) for routes in zip(*per_shard)]
+
+        alone = [rows(engine.route_wave([question], careful=careful))[0]
+                 for question in questions]
+        waved = [key for chunk in _chunked(questions, WAVE_SIZE)
+                 for key in rows(engine.route_wave(chunk, careful=careful))]
+    assert any(route_list for shards in alone for route_list in shards)
+    assert waved == alone

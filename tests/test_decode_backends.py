@@ -79,6 +79,8 @@ def toy_model():
 
 
 BUDGETS = [(1, 1, 0.0), (4, 1, 0.0), (4, 2, 2.0), (6, 3, 1.5), (6, 6, 2.0)]
+#: The engine's fixed attention length for the toy questions (<= 3 tokens).
+MEMORY_LENGTH = 6
 
 
 class TestEngineVsOracle:
@@ -89,7 +91,7 @@ class TestEngineVsOracle:
         batched = diverse_beam_search_batch(
             model, encoded, vocabulary.bos_id, vocabulary.eos_id,
             num_beams=num_beams, num_groups=num_groups,
-            diversity_penalty=penalty, max_length=8)
+            diversity_penalty=penalty, max_length=8, memory_length=MEMORY_LENGTH)
         for item, one in zip(encoded, batched):
             looped = diverse_beam_search_loop(
                 model, (), vocabulary.bos_id, vocabulary.eos_id,
@@ -113,7 +115,8 @@ class TestEngineVsOracle:
         batched = diverse_beam_search_batch(
             model, encoded, vocabulary.bos_id, vocabulary.eos_id,
             num_beams=num_beams, num_groups=num_groups,
-            diversity_penalty=penalty, max_length=8, constraint=constraint)
+            diversity_penalty=penalty, max_length=8, constraint=constraint,
+            memory_length=MEMORY_LENGTH)
         for item, one in zip(encoded, batched):
             looped = diverse_beam_search_loop(
                 model, (), vocabulary.bos_id, vocabulary.eos_id,
@@ -135,7 +138,8 @@ class TestEngineVsOracle:
 
         batched = diverse_beam_search_batch(
             model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, constraint=constraint)
+            num_beams=4, num_groups=2, max_length=8, constraint=constraint,
+            memory_length=MEMORY_LENGTH)
         for item, one in zip(encoded, batched):
             looped = diverse_beam_search_loop(
                 model, (), vocabulary.bos_id, vocabulary.eos_id,
@@ -150,20 +154,23 @@ class TestEngineVsOracle:
                                      encoded=encoded[0])
         batched = diverse_beam_search_batch(model, [encoded[0]], vocabulary.bos_id,
                                             vocabulary.eos_id, num_beams=4,
-                                            num_groups=2, max_length=8)[0]
+                                            num_groups=2, max_length=8,
+                                            memory_length=encoded[0].memory.shape[0])[0]
         assert [_hypothesis_key(h) for h in direct] == \
             [_hypothesis_key(h) for h in batched]
 
     def test_empty_batch(self, toy_model):
         model, vocabulary, _ = toy_model
         assert diverse_beam_search_batch(model, [], vocabulary.bos_id,
-                                         vocabulary.eos_id) == []
+                                         vocabulary.eos_id,
+                                         memory_length=MEMORY_LENGTH) == []
 
     def test_invalid_budget_rejected(self, toy_model):
         model, vocabulary, encoded = toy_model
         with pytest.raises(ValueError):
             diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
-                                      vocabulary.eos_id, num_beams=5, num_groups=3)
+                                      vocabulary.eos_id, num_beams=5, num_groups=3,
+                                      memory_length=MEMORY_LENGTH)
 
     def test_beam_budget_wider_than_vocabulary(self, toy_model):
         """top_n clamps at V: a beam budget wider than the target vocabulary
@@ -174,7 +181,8 @@ class TestEngineVsOracle:
         num_beams = vocab_size + 4  # top_n would exceed V unclamped
         batched = diverse_beam_search_batch(
             model, encoded[:2], vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=num_beams, num_groups=1, max_length=6)
+            num_beams=num_beams, num_groups=1, max_length=6,
+            memory_length=MEMORY_LENGTH)
         looped = [diverse_beam_search_loop(
             model, (), vocabulary.bos_id, vocabulary.eos_id,
             num_beams=num_beams, num_groups=1, max_length=6, encoded=item)
@@ -187,7 +195,8 @@ class TestEngineVsOracle:
         alone, in pairs, and in the full batch -- the property route caches
         and shard merges rely on."""
         model, vocabulary, encoded = toy_model
-        kwargs = dict(num_beams=4, num_groups=2, max_length=8, memory_length=6)
+        kwargs = dict(num_beams=4, num_groups=2, max_length=8,
+                      memory_length=MEMORY_LENGTH)
         full = diverse_beam_search_batch(
             model, encoded, vocabulary.bos_id, vocabulary.eos_id, **kwargs)
         for index, item in enumerate(encoded):

@@ -281,7 +281,7 @@ class TestSeq2SeqAndDecoding:
             diverse_beam_search(model, [1], 1, 2, num_beams=5, num_groups=3)
 
     def test_kernel_question_invariance(self, toy_setup):
-        """The batch-invariance contract of ``decode_step_numpy_batch_fast``:
+        """The batch-invariance contract of ``decode_step``:
         at a fixed padded length, a question's slots come out bit-identical
         whether it is stepped alone or stacked with other questions."""
         model, source_tokenizer, _, data, _ = toy_setup
@@ -299,12 +299,12 @@ class TestSeq2SeqAndDecoding:
         states = np.tanh(rng.standard_normal((questions, slots, hidden)))
         previous = rng.integers(0, model.config.target_vocab_size,
                                 size=(questions, slots))
-        log_probs, new_states = model.decode_step_numpy_batch_fast(
+        log_probs, new_states = model.decode_step(
             memory, memory_mask, states, previous)
         assert log_probs.shape == (questions, slots, model.config.target_vocab_size)
         for question in range(questions):
             window = slice(question, question + 1)
-            alone_log_probs, alone_states = model.decode_step_numpy_batch_fast(
+            alone_log_probs, alone_states = model.decode_step(
                 memory[window], memory_mask[window], states[window],
                 previous[window])
             assert np.array_equal(log_probs[question], alone_log_probs[0])
@@ -316,7 +316,7 @@ class TestSeq2SeqAndDecoding:
         model, source_tokenizer, _, data, _ = toy_setup
         item = model.encode_numpy(source_tokenizer.encode_text(data[0][0]))
         log_probs, state = model.decode_step_numpy(item, item.state, 3)
-        kernel_log_probs, kernel_states = model.decode_step_numpy_batch_fast(
+        kernel_log_probs, kernel_states = model.decode_step(
             item.memory[None], np.ones((1, item.memory.shape[0]), dtype=bool),
             item.state[None, None], np.asarray([[3]]))
         assert np.array_equal(log_probs, kernel_log_probs[0, 0])

@@ -325,14 +325,11 @@ class TestBinaryRoutePayloads:
         with pytest.raises(TruncatedFrameError):
             _read_back(frame)
 
-    def test_large_segments_take_the_vectorized_path_bit_exactly(self):
-        """Above SMALL_SEGMENT_ROUTES the codec switches from struct to the
-        vectorized encoder; the large path must round-trip bit-exactly too
-        (every other test in this class fits in the struct path)."""
-        from repro.cluster.transport import SMALL_SEGMENT_ROUTES
-
+    def test_large_segments_round_trip_bit_exactly(self):
+        """A frame of more than 512 routes -- well past any benchmarked
+        reply -- round-trips bit-exactly too."""
         scores = TestRoutePayloads.AWKWARD_SCORES
-        routes_per_list = SMALL_SEGMENT_ROUTES // 4 + 1
+        routes_per_list = 512 // 4 + 1
         route_lists = [
             [SchemaRoute(f"db_{index}_{slot}", (f"t{slot}",),
                          scores[(index * 31 + slot) % len(scores)])
@@ -340,7 +337,7 @@ class TestBinaryRoutePayloads:
             for index in range(5)
         ]
         total_routes = sum(len(routes) for routes in route_lists)
-        assert total_routes > SMALL_SEGMENT_ROUTES  # really the large path
+        assert total_routes > 512
         descriptor, segment = route_lists_to_binary(route_lists)
         assert descriptor["routes"] == total_routes
         restored = route_lists_from_binary(

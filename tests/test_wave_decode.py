@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -21,6 +23,7 @@ from repro.cluster import (
     ClusterDispatcher,
     ClusterRoutingService,
     load_cluster,
+    project_router,
     save_cluster,
 )
 from repro.core import (
@@ -32,6 +35,7 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
+from repro.nn.seq2seq import WaveDecodeKernel
 from test_cluster import QUESTIONS, _cluster_catalog
 
 
@@ -227,3 +231,43 @@ class TestDirectSubmitWithoutTimeout:
             dispatcher.route_batch(["q"])
         assert len(seen) == 1
         assert seen[0].startswith("repro-cluster-shard")
+
+
+class TestWaveKernelChecks:
+    """The adapter decodes only the two fleets projection builds (one shared
+    unsliced model, or slices of one master head) and only shard-major
+    stacked waves; anything else is a typed error, never a wrong decode."""
+
+    @staticmethod
+    def _sliced(master_router):
+        names = master_router.graph.catalog.database_names
+        return [project_router(master_router, names[shard::2],
+                               sliced_vocabulary=True) for shard in range(2)]
+
+    def test_unsorted_tags_raise(self, master_router):
+        routers = self._sliced(master_router)
+        kernel = WaveDecodeKernel([router.model for router in routers],
+                                  [router.vocabulary_slice for router in routers])
+        hidden = kernel.config.hidden_dim
+        with pytest.raises(ValueError, match="shard-major"):
+            kernel.decode_step(np.zeros((2, 3, hidden)), np.ones((2, 3), dtype=bool),
+                               np.zeros((2, 1, hidden)),
+                               np.zeros((2, 1), dtype=np.int64),
+                               tags=np.asarray([1, 0]))
+
+    def test_slices_of_different_master_heads_raise(self, master_router):
+        routers = self._sliced(master_router)
+        first = routers[0].vocabulary_slice
+        copied = replace(first, output_weight=first.output_weight.copy())
+        with pytest.raises(ValueError, match="master head"):
+            WaveDecodeKernel([router.model for router in routers],
+                             [first, copied])
+
+    def test_partly_sliced_or_uncalibrated_fleets_raise(self, master_router):
+        routers = self._sliced(master_router)
+        models = [router.model for router in routers]
+        with pytest.raises(ValueError, match="master head"):
+            WaveDecodeKernel(models, [routers[0].vocabulary_slice, None])
+        # Sliced twins without their slices would need per-shard heads.
+        with pytest.raises(ValueError, match="unsliced model"):
+            WaveDecodeKernel(models, [None, None])
